@@ -22,8 +22,10 @@ from .data import (
     mask_to_string,
     save_csv,
 )
-from .regress import FitResult, fit_ols, mse, predict
+from .regress import FitResult, fit_ols, predict
 from .objectives import (
+    CROSS_VALIDATION,
+    IN_SAMPLE,
     FoldPartition,
     ObjectiveEvaluator,
     ObjectiveSpec,
@@ -86,7 +88,8 @@ __all__ = [
     "FitResult",
     "fit_ols",
     "predict",
-    "mse",
+    "IN_SAMPLE",
+    "CROSS_VALIDATION",
     "FoldPartition",
     "make_partition",
     "ObjectiveSpec",

@@ -1,137 +1,23 @@
-"""Batch least-squares kernels.
+"""Batch least-squares kernel.
 
 Every submodel fit in the package funnels through :func:`ols_batch`, which
-solves many masked least-squares problems in one call.  Two interchangeable
-implementations exist:
-
-* a numba ``@njit`` kernel (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Selection is controlled by the ``PARETOREG_BACKEND`` environment variable:
-``auto`` (default), ``numba``, or ``numpy``.  Both backends use the same
-algorithm: an SVD-based minimum-norm solve of the intercept-augmented
-submatrix, with singular values below ``max(n, k+1) * eps * smax`` treated
-as zero.  Rank deficiency is flagged, not fatal; the minimum-norm solution
-is still returned.
+solves many masked least-squares problems in one call.  Each fit is an
+SVD-based minimum-norm solve of the intercept-augmented submatrix, with
+singular values below ``max(n, k+1) * eps * smax`` treated as zero.  Rank
+deficiency is flagged, not fatal; the minimum-norm solution is still
+returned.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _ols_batch_numpy(X, y, masks):
-    m, k_total = masks.shape
-    n = X.shape[0]
-    intercepts = np.zeros(m, dtype=np.float64)
-    coefs = np.zeros((m, k_total), dtype=np.float64)
-    mses = np.zeros(m, dtype=np.float64)
-    deficient = np.zeros(m, dtype=np.bool_)
-    ones = np.ones((n, 1), dtype=np.float64)
-    for i in range(m):
-        cols = np.flatnonzero(masks[i])
-        k = cols.size
-        A = np.concatenate((ones, X[:, cols]), axis=1)
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        tol = max(n, k + 1) * _EPS * s[0]
-        rank = int((s > tol).sum())
-        w = (U[:, :rank].T @ y) / s[:rank]
-        beta = Vt[:rank].T @ w
-        resid = y - A @ beta
-        intercepts[i] = beta[0]
-        coefs[i, cols] = beta[1:]
-        mses[i] = float(resid @ resid) / n
-        deficient[i] = rank < k + 1
-    return intercepts, coefs, mses, deficient
-
-
-def _ols_batch_loops(X, y, masks):
-    # njit-compatible twin of _ols_batch_numpy; scalar loops avoid
-    # temporaries on non-contiguous slices.
-    m, k_total = masks.shape
-    n = X.shape[0]
-    intercepts = np.zeros(m, dtype=np.float64)
-    coefs = np.zeros((m, k_total), dtype=np.float64)
-    mses = np.zeros(m, dtype=np.float64)
-    deficient = np.zeros(m, dtype=np.bool_)
-    for i in range(m):
-        k = 0
-        for j in range(k_total):
-            if masks[i, j]:
-                k += 1
-        A = np.empty((n, k + 1), dtype=np.float64)
-        for r in range(n):
-            A[r, 0] = 1.0
-        c = 1
-        for j in range(k_total):
-            if masks[i, j]:
-                for r in range(n):
-                    A[r, c] = X[r, j]
-                c += 1
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        tol = max(n, k + 1) * _EPS * s[0]
-        rank = 0
-        for t in range(s.shape[0]):
-            if s[t] > tol:
-                rank += 1
-        w = np.zeros(rank, dtype=np.float64)
-        for t in range(rank):
-            acc = 0.0
-            for r in range(n):
-                acc += U[r, t] * y[r]
-            w[t] = acc / s[t]
-        beta = np.zeros(k + 1, dtype=np.float64)
-        for j in range(k + 1):
-            acc = 0.0
-            for t in range(rank):
-                acc += Vt[t, j] * w[t]
-            beta[j] = acc
-        sse = 0.0
-        for r in range(n):
-            pred = 0.0
-            for j in range(k + 1):
-                pred += A[r, j] * beta[j]
-            d = y[r] - pred
-            sse += d * d
-        intercepts[i] = beta[0]
-        c = 1
-        for j in range(k_total):
-            if masks[i, j]:
-                coefs[i, j] = beta[c]
-                c += 1
-        mses[i] = sse / n
-        deficient[i] = rank < k + 1
-    return intercepts, coefs, mses, deficient
-
-
-def _resolve_backend() -> tuple[str, object]:
-    choice = os.environ.get("PARETOREG_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"PARETOREG_BACKEND must be auto, numba or numpy, got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy", _ols_batch_numpy
-    try:
-        import numba
-    except ImportError:
-        if choice == "numba":
-            raise ImportError("PARETOREG_BACKEND=numba but numba is not importable")
-        return "numpy", _ols_batch_numpy
-    jitted = numba.njit(cache=True, nogil=True)(_ols_batch_loops)
-    return "numba", jitted
-
-
-_BACKEND_NAME, _BACKEND_IMPL = _resolve_backend()
-
-
 def active_backend() -> str:
-    """Name of the kernel backend in use: ``"numba"`` or ``"numpy"``."""
-    return _BACKEND_NAME
+    """Name of the kernel implementation; always ``"numpy"``."""
+    return "numpy"
 
 
 def ols_batch(X, y, masks):
@@ -167,20 +53,25 @@ def ols_batch(X, y, masks):
         raise ValueError(
             f"mask width {masks.shape[1]} does not match k={X.shape[1]}"
         )
-    if masks.shape[0] == 0:
-        k = X.shape[1]
-        return (
-            np.empty(0),
-            np.empty((0, k)),
-            np.empty(0),
-            np.empty(0, dtype=np.bool_),
-        )
-    return _BACKEND_IMPL(X, y, masks)
-
-
-def ols_single(X, y, mask):
-    """Single-mask convenience wrapper around :func:`ols_batch`."""
-    mask = np.asarray(mask, dtype=np.bool_)
-    intercepts, coefs, mses, deficient = ols_batch(X, y, mask[None, :])
-    sel = coefs[0][mask]
-    return float(intercepts[0]), sel, float(mses[0]), bool(deficient[0])
+    m, k_total = masks.shape
+    n = X.shape[0]
+    intercepts = np.zeros(m, dtype=np.float64)
+    coefs = np.zeros((m, k_total), dtype=np.float64)
+    mses = np.zeros(m, dtype=np.float64)
+    deficient = np.zeros(m, dtype=np.bool_)
+    ones = np.ones((n, 1), dtype=np.float64)
+    for i in range(m):
+        cols = np.flatnonzero(masks[i])
+        k = cols.size
+        A = np.concatenate((ones, X[:, cols]), axis=1)
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        tol = max(n, k + 1) * _EPS * s[0]
+        rank = int((s > tol).sum())
+        w = (U[:, :rank].T @ y) / s[:rank]
+        beta = Vt[:rank].T @ w
+        resid = y - A @ beta
+        intercepts[i] = beta[0]
+        coefs[i, cols] = beta[1:]
+        mses[i] = float(resid @ resid) / n
+        deficient[i] = rank < k + 1
+    return intercepts, coefs, mses, deficient

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,17 +20,6 @@ from .pareto import Frontier
 
 EXHAUSTIVE_K_LIMIT = 25
 _CHUNK = 2048
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get("PARETOREG_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _model_from_fit(
@@ -59,30 +45,17 @@ def _chunked_combinations(k: int, d: int, chunk: int):
         yield masks
 
 
-def _best_in_chunk(data: Dataset, masks: np.ndarray):
-    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks)
-    best = None
-    for i in range(masks.shape[0]):
-        cand = (mses[i], masks[i].tobytes())
-        if best is None or cand < best[0]:
-            best = (cand, i)
-    i = best[1]
-    return mses[i], masks[i], intercepts[i], coefs[i]
-
-
 def best_subset_table(
     data: Dataset,
     max_complexity: int | None = None,
-    workers: int | None = None,
     force: bool = False,
 ) -> list[EvaluatedModel]:
     """Best in-sample model at every complexity 0..max_complexity.
 
     Enumerates all masks of each size and keeps the minimum-error one
     (ties go to the lexicographically smallest bit pattern).  Cost grows
-    as 2^k, so k above 25 is refused unless ``force=True``.  Chunks of
-    masks can be fitted by a thread pool; the reduction is
-    order-independent, so worker count does not affect the result.
+    as 2^k, so k above 25 is refused unless ``force=True``.  Masks are
+    fitted in chunks of 2048, which bounds memory at large k.
     """
     k = data.k
     d_max = k if max_complexity is None else max_complexity
@@ -93,33 +66,28 @@ def best_subset_table(
             f"exhaustive search over k={k} predictors needs force=True "
             f"(limit {EXHAUSTIVE_K_LIMIT})"
         )
-    n_workers = _resolve_workers(workers)
 
     table: list[EvaluatedModel] = []
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for d in range(d_max + 1):
-            chunks = _chunked_combinations(k, d, _CHUNK)
-            results = pool.map(lambda mk: _best_in_chunk(data, mk), chunks)
-            best = None
-            for mse, mask, intercept, coefs in results:
-                cand = (mse, mask.tobytes())
+    for d in range(d_max + 1):
+        best = None
+        for masks in _chunked_combinations(k, d, _CHUNK):
+            intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks)
+            for i in range(masks.shape[0]):
+                cand = (mses[i], masks[i].tobytes())
                 if best is None or cand < best[0]:
-                    best = (cand, mask, intercept, coefs)
-            _, mask, intercept, coefs = best
-            table.append(_model_from_fit(mask, intercept, coefs, best[0][0]))
+                    best = (cand, masks[i], intercepts[i], coefs[i])
+        (mse, _), mask, intercept, coef = best
+        table.append(_model_from_fit(mask, intercept, coef, mse))
     return table
 
 
 def exhaustive_frontier(
     data: Dataset,
     max_complexity: int | None = None,
-    workers: int | None = None,
     force: bool = False,
 ) -> Frontier:
     """Exact complexity/error frontier from exhaustive enumeration."""
-    return Frontier.from_models(
-        best_subset_table(data, max_complexity, workers, force)
-    )
+    return Frontier.from_models(best_subset_table(data, max_complexity, force))
 
 
 @dataclass(frozen=True)
@@ -141,12 +109,8 @@ class Trajectory:
         return tuple(m.objective.complexity for m in self.steps)
 
 
-def _fit_many(data: Dataset, masks: np.ndarray):
-    return ols_batch(data.X, data.y, masks)
-
-
 def _fit_one(data: Dataset, mask: np.ndarray) -> EvaluatedModel:
-    intercepts, coefs, mses, _ = _fit_many(data, mask[None, :])
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, mask[None, :])
     return _model_from_fit(mask, intercepts[0], coefs[0], mses[0])
 
 
@@ -165,6 +129,41 @@ def _partial_f(sse_small: float, sse_big: float, n: int, small_size: int) -> flo
     return (sse_small - sse_big) / (sse_big / df)
 
 
+def _step(
+    data: Dataset, current: EvaluatedModel, add: bool, threshold: float
+) -> EvaluatedModel | None:
+    """One partial-F add or drop step away from ``current``.
+
+    With ``add`` every unselected column is tried and the largest
+    partial-F is accepted when it exceeds ``threshold``; otherwise every
+    selected column is tried for removal and the smallest partial-F is
+    accepted when it is below ``threshold``.  Ties go to the lowest
+    column index.  Returns the accepted model, or None when no candidate
+    exists or none passes.
+    """
+    n = data.n
+    mask = current.mask
+    size = int(mask.sum())
+    sse = current.objective.error * n
+    cols = np.flatnonzero(~mask if add else mask)
+    if cols.size == 0:
+        return None
+    cands = np.repeat(mask[None, :], cols.size, axis=0)
+    cands[np.arange(cols.size), cols] = add
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, cands)
+    if add:
+        fstats = np.array([_partial_f(sse, e * n, n, size) for e in mses])
+        i = int(np.argmax(fstats))
+        accepted = fstats[i] > threshold
+    else:
+        fstats = np.array([_partial_f(e * n, sse, n, size - 1) for e in mses])
+        i = int(np.argmin(fstats))
+        accepted = fstats[i] < threshold
+    if not accepted:
+        return None
+    return _model_from_fit(cands[i], intercepts[i], coefs[i], mses[i])
+
+
 def forward_selection(
     data: Dataset, enter_threshold: float = 4.0, max_steps: int | None = None
 ) -> Trajectory:
@@ -176,28 +175,16 @@ def forward_selection(
     """
     if enter_threshold < 0:
         raise ValueError(f"enter_threshold must be >= 0, got {enter_threshold}")
-    n, k = data.n, data.k
-    limit = max_steps if max_steps is not None else k
-    mask = np.zeros(k, dtype=np.bool_)
-    sse = _fit_one(data, mask).objective.error * n
+    limit = max_steps if max_steps is not None else data.k
+    current = _fit_one(data, np.zeros(data.k, dtype=np.bool_))
     steps: list[EvaluatedModel] = []
-    while int(mask.sum()) < k and len(steps) < limit:
-        size = int(mask.sum())
-        free = np.flatnonzero(~mask)
-        cands = np.repeat(mask[None, :], free.size, axis=0)
-        cands[np.arange(free.size), free] = True
-        intercepts, coefs, mses, _ = _fit_many(data, cands)
-        fstats = np.array(
-            [_partial_f(sse, mses[i] * n, n, size) for i in range(free.size)]
-        )
-        best = int(np.argmax(fstats))
-        if not fstats[best] > enter_threshold:
+    while len(steps) < limit:
+        accepted = _step(data, current, True, enter_threshold)
+        if accepted is None:
             break
-        mask = cands[best]
-        sse = mses[best] * n
-        steps.append(_model_from_fit(mask, intercepts[best], coefs[best], mses[best]))
-    final = steps[-1] if steps else _fit_one(data, np.zeros(k, dtype=np.bool_))
-    return Trajectory(method="forward", steps=tuple(steps), final=final)
+        current = accepted
+        steps.append(current)
+    return Trajectory(method="forward", steps=tuple(steps), final=current)
 
 
 def _max_rank_start(data: Dataset) -> np.ndarray:
@@ -208,14 +195,14 @@ def _max_rank_start(data: Dataset) -> np.ndarray:
     introduce rank deficiency.
     """
     full = np.ones(data.k, dtype=np.bool_)
-    _, _, _, deficient = _fit_many(data, full[None, :])
+    _, _, _, deficient = ols_batch(data.X, data.y, full[None, :])
     if not deficient[0]:
         return full
     mask = np.zeros(data.k, dtype=np.bool_)
     for j in range(data.k):
         trial = mask.copy()
         trial[j] = True
-        _, _, _, deficient = _fit_many(data, trial[None, :])
+        _, _, _, deficient = ols_batch(data.X, data.y, trial[None, :])
         if not deficient[0]:
             mask = trial
     return mask
@@ -233,28 +220,14 @@ def backward_elimination(
     """
     if exit_threshold < 0:
         raise ValueError(f"exit_threshold must be >= 0, got {exit_threshold}")
-    n, k = data.n, data.k
-    limit = max_steps if max_steps is not None else k
-    mask = _max_rank_start(data)
-    current = _fit_one(data, mask)
+    limit = max_steps if max_steps is not None else data.k
+    current = _fit_one(data, _max_rank_start(data))
     steps: list[EvaluatedModel] = []
-    while int(mask.sum()) > 0 and len(steps) < limit:
-        sse = current.objective.error * n
-        on = np.flatnonzero(mask)
-        cands = np.repeat(mask[None, :], on.size, axis=0)
-        cands[np.arange(on.size), on] = False
-        intercepts, coefs, mses, _ = _fit_many(data, cands)
-        fstats = np.array(
-            [
-                _partial_f(mses[i] * n, sse, n, int(mask.sum()) - 1)
-                for i in range(on.size)
-            ]
-        )
-        worst = int(np.argmin(fstats))
-        if not fstats[worst] < exit_threshold:
+    while len(steps) < limit:
+        accepted = _step(data, current, False, exit_threshold)
+        if accepted is None:
             break
-        mask = cands[worst]
-        current = _model_from_fit(mask, intercepts[worst], coefs[worst], mses[worst])
+        current = accepted
         steps.append(current)
     return Trajectory(method="backward", steps=tuple(steps), final=current)
 
@@ -276,49 +249,20 @@ def stepwise_selection(
             f"exit_threshold {exit_threshold} must not exceed "
             f"enter_threshold {enter_threshold}"
         )
-    n, k = data.n, data.k
-    limit = max_steps if max_steps is not None else 4 * k
-    mask = np.zeros(k, dtype=np.bool_)
-    current = _fit_one(data, mask)
+    limit = max_steps if max_steps is not None else 4 * data.k
+    current = _fit_one(data, np.zeros(data.k, dtype=np.bool_))
     steps: list[EvaluatedModel] = []
     while len(steps) < limit:
-        # forward step
-        size = int(mask.sum())
-        if size == k:
+        accepted = _step(data, current, True, enter_threshold)
+        if accepted is None:
             break
-        sse = current.objective.error * n
-        free = np.flatnonzero(~mask)
-        cands = np.repeat(mask[None, :], free.size, axis=0)
-        cands[np.arange(free.size), free] = True
-        intercepts, coefs, mses, _ = _fit_many(data, cands)
-        fstats = np.array(
-            [_partial_f(sse, mses[i] * n, n, size) for i in range(free.size)]
-        )
-        best = int(np.argmax(fstats))
-        if not fstats[best] > enter_threshold:
-            break
-        mask = cands[best]
-        current = _model_from_fit(mask, intercepts[best], coefs[best], mses[best])
+        current = accepted
         steps.append(current)
         # backward sweep until nothing else leaves
-        while int(mask.sum()) > 0 and len(steps) < limit:
-            sse = current.objective.error * n
-            on = np.flatnonzero(mask)
-            cands = np.repeat(mask[None, :], on.size, axis=0)
-            cands[np.arange(on.size), on] = False
-            intercepts, coefs, mses, _ = _fit_many(data, cands)
-            fstats = np.array(
-                [
-                    _partial_f(mses[i] * n, sse, n, int(mask.sum()) - 1)
-                    for i in range(on.size)
-                ]
-            )
-            worst = int(np.argmin(fstats))
-            if not fstats[worst] < exit_threshold:
+        while len(steps) < limit:
+            accepted = _step(data, current, False, exit_threshold)
+            if accepted is None:
                 break
-            mask = cands[worst]
-            current = _model_from_fit(
-                mask, intercepts[worst], coefs[worst], mses[worst]
-            )
+            current = accepted
             steps.append(current)
     return Trajectory(method="stepwise", steps=tuple(steps), final=current)

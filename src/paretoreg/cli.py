@@ -96,6 +96,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_frontier(out, frontier, data, config_doc, stats_doc) -> str:
+    """Write ``frontier.json`` and ``frontier.csv`` into ``out``.
+
+    Returns the path of ``frontier.json``.
+    """
+    doc = frontier_to_dict(
+        frontier, data.names, data.target_name, data.n, config_doc, stats_doc
+    )
+    path = os.path.join(out, "frontier.json")
+    write_frontier_json(path, doc)
+    with open(os.path.join(out, "frontier.csv"), "w") as fh:
+        fh.write(frontier_csv(frontier, data.names))
+    return path
+
+
 def _load(args: argparse.Namespace):
     return load_csv(args.data, args.target, header=not args.no_header)
 
@@ -162,13 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "unique_models": result.unique_models,
         "runtime_seconds": round(elapsed, 3),
     }
-    doc = frontier_to_dict(
-        result.frontier, data.names, data.target_name, data.n, config_doc, stats_doc
-    )
-    frontier_path = os.path.join(out, "frontier.json")
-    write_frontier_json(frontier_path, doc)
-    with open(os.path.join(out, "frontier.csv"), "w") as fh:
-        fh.write(frontier_csv(result.frontier, data.names))
+    frontier_path = _write_frontier(out, result.frontier, data, config_doc, stats_doc)
     if result.snapshots:
         with open(os.path.join(out, "snapshots.csv"), "w") as fh:
             fh.write(snapshots_csv(result.snapshots))
@@ -187,10 +196,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     data = _load(args)
     if args.method == "exhaustive":
         frontier = exhaustive_frontier(
-            data,
-            max_complexity=args.max_complexity,
-            workers=args.workers,
-            force=args.force,
+            data, max_complexity=args.max_complexity, force=args.force
         )
         config_doc = {
             "data": os.path.abspath(args.data),
@@ -198,13 +204,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             "method": "exhaustive",
             "max_complexity": args.max_complexity,
         }
-        doc = frontier_to_dict(
-            frontier, data.names, data.target_name, data.n, config_doc, {}
-        )
-        path = os.path.join(out, "frontier.json")
-        write_frontier_json(path, doc)
-        with open(os.path.join(out, "frontier.csv"), "w") as fh:
-            fh.write(frontier_csv(frontier, data.names))
+        path = _write_frontier(out, frontier, data, config_doc, {})
         print(f"frontier: {len(frontier)} models")
         print(f"wrote {path}")
         return 0
@@ -379,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold partition seed (default: the run seed)",
     )
     p_run.add_argument(
-        "--pop-size", type=int, default=None, help="population size (default: K)"
+        "--pop-size",
+        type=int,
+        default=None,
+        help="population size (default: K, at least 2)",
     )
     p_run.add_argument("--iterations", type=int, default=500)
     p_run.add_argument("--crossover-prob", type=float, default=0.9)
@@ -432,12 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force",
         action="store_true",
         help="allow exhaustive search beyond 25 predictors",
-    )
-    p_base.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread count for exhaustive search (default: PARETOREG_WORKERS or CPU count)",
     )
     p_base.add_argument("--out", required=True)
     p_base.set_defaults(func=cmd_baseline)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -287,7 +287,3 @@ def save_csv(data: Dataset, path: str) -> None:
             row.append(repr(float(data.y[i])))
             writer.writerow(row)
 
-
-def models_by_key(models: Iterable[EvaluatedModel]) -> dict[bytes, EvaluatedModel]:
-    """Index models by raw mask bit pattern (last one wins on duplicates)."""
-    return {m.mask_key(): m for m in models}

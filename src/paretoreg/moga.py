@@ -32,8 +32,9 @@ class GAConfig:
     """Run parameters for :func:`run_moga`.
 
     ``None`` fields fall back to data-dependent defaults at run time:
-    population size and offspring count default to the number of
-    predictors K, mutation probability to 1/K.  ``complexity_bounds``
+    population size defaults to the number of predictors K, but at least
+    2 (the search needs two members); offspring count defaults to the
+    population size and mutation probability to 1/K.  ``complexity_bounds``
     restricts the search to masks whose selected count lies in the given
     closed range; out-of-range masks are repaired by random bit flips
     before evaluation.  ``archive=True`` reports the non-dominated set of
@@ -204,7 +205,9 @@ def run_moga(
         Predictors and response.
     config : GAConfig, optional
         Run parameters; defaults follow the published guidelines
-        (population K, crossover 0.9, mutation 1/K, offspring K).
+        (population K, crossover 0.9, mutation 1/K, offspring equal to
+        the population).  The default population is raised to 2 when
+        K = 1.
     progress : callable, optional
         Called after each iteration with (iteration, frontier size,
         best error in the population).
@@ -225,7 +228,9 @@ def run_moga(
     """
     config = config or GAConfig()
     k = data.k
-    n_pop = config.population_size if config.population_size is not None else k
+    n_pop = (
+        config.population_size if config.population_size is not None else max(k, 2)
+    )
     n_off = config.n_offspring if config.n_offspring is not None else n_pop
     p_mut = config.mutation_prob if config.mutation_prob is not None else 1.0 / k
     p_cross = config.crossover_prob

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ols_single
+from ._kernels import ols_batch
 from .data import Dataset
 
 
@@ -47,12 +47,12 @@ def fit_ols(data: Dataset, mask) -> FitResult:
     FitResult
     """
     mask = data.validate_mask(mask)
-    intercept, coefs, mse_, deficient = ols_single(data.X, data.y, mask)
+    intercepts, coefs, mses, deficient = ols_batch(data.X, data.y, mask[None, :])
     return FitResult(
-        intercept=intercept,
-        coefficients=coefs,
-        mse=mse_,
-        rank_deficient=deficient,
+        intercept=float(intercepts[0]),
+        coefficients=coefs[0][mask],
+        mse=float(mses[0]),
+        rank_deficient=bool(deficient[0]),
     )
 
 
@@ -72,16 +72,3 @@ def predict(fit: FitResult, mask, X) -> np.ndarray:
         raise ValueError("mask does not match fitted coefficient count")
     return fit.intercept + X[:, mask] @ fit.coefficients
 
-
-def mse(y_true, y_pred) -> float:
-    """Mean squared error with divisor n."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape or y_true.ndim != 1:
-        raise ValueError(
-            f"shape mismatch: {y_true.shape} vs {y_pred.shape}"
-        )
-    if y_true.shape[0] == 0:
-        raise ValueError("mse of zero-length vectors is undefined")
-    d = y_true - y_pred
-    return float(d @ d) / y_true.shape[0]

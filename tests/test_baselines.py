@@ -82,22 +82,6 @@ class TestBestSubsetTable:
         with pytest.raises(ValueError):
             best_subset_table(data, max_complexity=-1)
 
-    def test_worker_count_does_not_change_result(self):
-        data = make_data(n=25, k=7, seed=9)
-        t1 = best_subset_table(data, workers=1)
-        t3 = best_subset_table(data, workers=3)
-        for a, b in zip(t1, t3):
-            assert a.mask_key() == b.mask_key()
-            assert a.objective.error == b.objective.error
-
-    def test_workers_env_override(self, monkeypatch):
-        data = make_data(n=20, k=5)
-        monkeypatch.setenv("PARETOREG_WORKERS", "2")
-        t_env = best_subset_table(data)
-        monkeypatch.delenv("PARETOREG_WORKERS")
-        t_def = best_subset_table(data)
-        assert [m.mask_key() for m in t_env] == [m.mask_key() for m in t_def]
-
     def test_size_guard_and_force(self):
         gen = np.random.default_rng(0)
         k = EXHAUSTIVE_K_LIMIT + 1
@@ -108,11 +92,6 @@ class TestBestSubsetTable:
             best_subset_table(data, max_complexity=1)
         table = best_subset_table(data, max_complexity=1, force=True)
         assert len(table) == 2
-
-    def test_invalid_workers(self):
-        data = make_data(n=20, k=6)
-        with pytest.raises(ValueError):
-            best_subset_table(data, workers=0)
 
 
 class TestExhaustiveFrontier:

@@ -9,7 +9,6 @@ from paretoreg.data import (
     mask_complexity,
     mask_from_string,
     mask_to_string,
-    models_by_key,
     save_csv,
 )
 
@@ -91,22 +90,6 @@ class TestEvaluatedModel:
                 intercept=0.0,
                 coefficients=np.array([1.0, 2.0]),
             )
-
-    def test_models_by_key(self):
-        a = EvaluatedModel(
-            mask=np.array([True, False]),
-            objective=ObjectiveVector(1, 1.0),
-            intercept=0.0,
-            coefficients=np.array([1.0]),
-        )
-        b = EvaluatedModel(
-            mask=np.array([False, True]),
-            objective=ObjectiveVector(1, 2.0),
-            intercept=0.0,
-            coefficients=np.array([1.0]),
-        )
-        index = models_by_key([a, b, a])
-        assert len(index) == 2
 
 
 class TestCsv:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from paretoreg._kernels import (
-    _ols_batch_loops,
-    _ols_batch_numpy,
-    active_backend,
-    ols_batch,
-    ols_single,
-)
+from paretoreg._kernels import active_backend, ols_batch
 
 from conftest import lstsq_fit
+
+
+def fit_one(X, y, mask):
+    """One mask through the batch kernel: (intercept, selected coefs, mse, flag)."""
+    mask = np.asarray(mask, dtype=bool)
+    intercepts, coefs, mses, deficient = ols_batch(X, y, mask[None, :])
+    return float(intercepts[0]), coefs[0][mask], float(mses[0]), bool(deficient[0])
 
 
 def random_problem(seed, n=30, k=5):
@@ -34,7 +35,7 @@ class TestAgainstLstsq:
 
     def test_empty_mask_fits_mean(self):
         X, y = random_problem(2)
-        b0, coefs, mse, deficient = ols_single(X, y, np.zeros(5, dtype=bool))
+        b0, coefs, mse, deficient = fit_one(X, y, np.zeros(5, dtype=bool))
         assert b0 == pytest.approx(y.mean(), abs=1e-12)
         assert coefs.size == 0
         assert mse == pytest.approx(float(np.var(y)), rel=1e-12)
@@ -42,7 +43,7 @@ class TestAgainstLstsq:
 
     def test_full_mask(self):
         X, y = random_problem(3)
-        b0, coefs, mse, _ = ols_single(X, y, np.ones(5, dtype=bool))
+        b0, coefs, mse, _ = fit_one(X, y, np.ones(5, dtype=bool))
         rb0, rb, rmse, _ = lstsq_fit(X, y, np.ones(5, dtype=bool))
         assert b0 == pytest.approx(rb0, abs=1e-10)
         np.testing.assert_allclose(coefs, rb, atol=1e-10)
@@ -55,20 +56,20 @@ class TestRankDeficiency:
         base = gen.standard_normal(40)
         X = np.column_stack([base, base, gen.standard_normal(40)])
         y = 2.0 * base + gen.standard_normal(40) * 0.1
-        b0, coefs, mse, deficient = ols_single(X, y, np.array([True, True, False]))
+        b0, coefs, mse, deficient = fit_one(X, y, np.array([True, True, False]))
         assert deficient
         # minimum-norm solution splits the weight across the twin columns
         assert coefs[0] == pytest.approx(coefs[1], abs=1e-8)
         assert coefs[0] + coefs[1] == pytest.approx(2.0, abs=0.1)
         # fit quality is unharmed by the degeneracy
-        only_one, _, mse_one, _ = ols_single(X, y, np.array([True, False, False]))
+        only_one, _, mse_one, _ = fit_one(X, y, np.array([True, False, False]))
         assert mse == pytest.approx(mse_one, rel=1e-9)
 
     def test_more_parameters_than_rows(self):
         gen = np.random.default_rng(6)
         X = gen.standard_normal((4, 6))
         y = gen.standard_normal(4)
-        b0, coefs, mse, deficient = ols_single(X, y, np.ones(6, dtype=bool))
+        b0, coefs, mse, deficient = fit_one(X, y, np.ones(6, dtype=bool))
         assert deficient
         # underdetermined system interpolates
         assert mse == pytest.approx(0.0, abs=1e-18)
@@ -78,7 +79,7 @@ class TestRankDeficiency:
         gen = np.random.default_rng(7)
         X = np.column_stack([np.full(30, 3.0), gen.standard_normal(30)])
         y = gen.standard_normal(30)
-        _, _, _, deficient = ols_single(X, y, np.array([True, False]))
+        _, _, _, deficient = fit_one(X, y, np.array([True, False]))
         assert deficient
 
 
@@ -91,16 +92,8 @@ class TestDeterminismAndBackends:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_backends_agree(self):
-        X, y = random_problem(10, n=45, k=6)
-        masks = np.random.default_rng(11).random((12, 6)) < 0.5
-        out_np = _ols_batch_numpy(X, y, masks)
-        out_loops = _ols_batch_loops(X, y, masks)
-        for a, b in zip(out_np, out_loops):
-            np.testing.assert_allclose(a, b, atol=1e-10)
-
     def test_active_backend_reports(self):
-        assert active_backend() in ("numba", "numpy")
+        assert active_backend() == "numpy"
 
     def test_fortran_and_c_layouts_agree(self):
         X, y = random_problem(12, n=35, k=5)

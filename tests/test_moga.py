@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from paretoreg.baselines import best_subset_table
 from paretoreg.data import Dataset, EvaluatedModel, ObjectiveVector
 from paretoreg.moga import (
     GAConfig,
@@ -353,3 +354,17 @@ class TestRunMoga:
             run_moga(ga_data, GAConfig(complexity_bounds=(0, 99)))
         with pytest.raises(ValueError):
             run_moga(ga_data, GAConfig(snapshot_every=0))
+
+    def test_single_predictor_default_run(self):
+        # a default population of K = 1 could not breed; it is raised to 2,
+        # and two members are enough to hold both models of the space
+        gen = np.random.default_rng(30)
+        x = gen.normal(size=30)
+        y = 1.0 + 2.0 * x + 0.1 * gen.normal(size=30)
+        data = Dataset(X=x[:, None], y=y, names=("x1",))
+        res = run_moga(data)
+        assert len(res.population) == 2
+        table = best_subset_table(data)
+        assert res.frontier.complexities == (0, 1)
+        assert [m.mask_key() for m in res.frontier] == [m.mask_key() for m in table]
+        assert res.frontier.errors == tuple(m.objective.error for m in table)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretoreg.data import Dataset
-from paretoreg.regress import fit_ols, mse, predict
+from paretoreg.regress import fit_ols, predict
 
 from conftest import lstsq_fit
 
@@ -97,17 +97,3 @@ class TestPredict:
             predict(fit, mask, np.ones((2, 4)))
         with pytest.raises(ValueError):
             predict(fit, np.ones(6, dtype=bool), toy_data.X)
-
-
-class TestMse:
-    def test_hand_value(self):
-        assert mse([1.0, 2.0, 3.0], [1.0, 1.0, 5.0]) == pytest.approx(5.0 / 3.0)
-
-    def test_zero_for_perfect(self):
-        assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mse([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            mse([], [])
