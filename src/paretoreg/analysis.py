@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from ._kernels import is_zero_error
 from .data import Dataset, EvaluatedModel
 from .moga import Snapshot
 from .objectives import aic as _aic
@@ -99,15 +100,18 @@ def criteria_scan(
 
     ``count_intercept`` counts the intercept as a fitted coefficient in
     the penalty term (the usual reporting convention); the error term
-    uses each model's frontier error as is.  Models with zero error get
-    ``None`` entries since the criteria are undefined there.
+    uses each model's frontier error as is.  Models whose error is zero
+    up to rounding get ``None`` entries since the criteria are undefined
+    there.  The zero test is the kernel's SSE zero floor, with the
+    frontier's largest error standing in for the intercept-only error.
     """
     if len(frontier) == 0:
         raise ValueError("cannot scan an empty frontier")
+    reference = max(m.objective.error for m in frontier)
     rows = []
     for m in frontier:
         k_eff = m.objective.complexity + (1 if count_intercept else 0)
-        if m.objective.error > 0:
+        if not is_zero_error(m.objective.error, n, reference):
             rows.append(
                 CriteriaRow(
                     complexity=m.objective.complexity,

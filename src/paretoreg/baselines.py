@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ols_batch
+from ._kernels import is_zero_error, ols_batch
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 from .pareto import Frontier
 
@@ -114,18 +114,22 @@ def _fit_one(data: Dataset, mask: np.ndarray) -> EvaluatedModel:
     return _model_from_fit(mask, intercepts[0], coefs[0], mses[0])
 
 
-def _partial_f(sse_small: float, sse_big: float, n: int, small_size: int) -> float:
+def _partial_f(
+    sse_small: float, sse_big: float, n: int, small_size: int, sst: float
+) -> float:
     """F statistic for adding one variable to a model of ``small_size``.
 
     Guards: a perfect larger model gives +inf (or 0 if the smaller model
     was already perfect); a non-positive residual degree of freedom gives
-    -inf so the step is never accepted.
+    -inf so the step is never accepted.  "Perfect" is the kernel's SSE
+    zero floor relative to ``sst``, the total sum of squares about the
+    mean.
     """
     df = n - small_size - 2
     if df <= 0:
         return -math.inf
-    if sse_big <= 0.0:
-        return math.inf if sse_small > 0.0 else 0.0
+    if is_zero_error(sse_big, n, sst):
+        return 0.0 if is_zero_error(sse_small, n, sst) else math.inf
     return (sse_small - sse_big) / (sse_big / df)
 
 
@@ -145,6 +149,7 @@ def _step(
     mask = current.mask
     size = int(mask.sum())
     sse = current.objective.error * n
+    sst = float(np.sum((data.y - data.y.mean()) ** 2))
     cols = np.flatnonzero(~mask if add else mask)
     if cols.size == 0:
         return None
@@ -152,11 +157,11 @@ def _step(
     cands[np.arange(cols.size), cols] = add
     intercepts, coefs, mses, _ = ols_batch(data.X, data.y, cands)
     if add:
-        fstats = np.array([_partial_f(sse, e * n, n, size) for e in mses])
+        fstats = np.array([_partial_f(sse, e * n, n, size, sst) for e in mses])
         i = int(np.argmax(fstats))
         accepted = fstats[i] > threshold
     else:
-        fstats = np.array([_partial_f(e * n, sse, n, size - 1) for e in mses])
+        fstats = np.array([_partial_f(e * n, sse, n, size - 1, sst) for e in mses])
         i = int(np.argmin(fstats))
         accepted = fstats[i] < threshold
     if not accepted:

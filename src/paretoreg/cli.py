@@ -88,9 +88,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     data_path = os.path.join(out, "data.csv")
     truth_path = os.path.join(out, "truth.json")
     save_csv(data, data_path)
-    with open(truth_path, "w") as fh:
-        json.dump(truth_to_dict(truth), fh, indent=2)
-        fh.write("\n")
+    _write_json(truth_path, truth_to_dict(truth))
     print(f"wrote {data_path} ({data.n} rows, {data.k} predictors)")
     print(f"wrote {truth_path}")
     return 0
@@ -109,6 +107,12 @@ def _write_frontier(out, frontier, data, config_doc, stats_doc) -> str:
     with open(os.path.join(out, "frontier.csv"), "w") as fh:
         fh.write(frontier_csv(frontier, data.names))
     return path
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _load(args: argparse.Namespace):
@@ -161,11 +165,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             "folds": objective.folds if objective.kind == CROSS_VALIDATION else None,
             "seed": objective.seed if objective.kind == CROSS_VALIDATION else None,
         },
-        "population_size": config.population_size,
+        "population_size": result.config.population_size,
         "iterations": config.iterations,
         "crossover_prob": config.crossover_prob,
-        "mutation_prob": config.mutation_prob,
-        "n_offspring": config.n_offspring,
+        "mutation_prob": result.config.mutation_prob,
+        "n_offspring": result.config.n_offspring,
         "seed": config.seed,
         "complexity_bounds": list(bounds) if bounds else None,
         "snapshot_every": config.snapshot_every,
@@ -178,6 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "runtime_seconds": round(elapsed, 3),
     }
     frontier_path = _write_frontier(out, result.frontier, data, config_doc, stats_doc)
+    _write_json(os.path.join(out, "run.json"), {"config": config_doc, "stats": stats_doc})
     if result.snapshots:
         with open(os.path.join(out, "snapshots.csv"), "w") as fh:
             fh.write(snapshots_csv(result.snapshots))
@@ -218,9 +223,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             data, enter_threshold=args.enter_f, exit_threshold=args.exit_f
         )
     path = os.path.join(out, "trajectory.json")
-    with open(path, "w") as fh:
-        json.dump(trajectory_to_dict(traj, data.names), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, trajectory_to_dict(traj, data.names))
     with open(os.path.join(out, "trajectory.csv"), "w") as fh:
         fh.write(trajectory_csv(traj, data.names))
     print(
@@ -245,9 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "pronounced": knee.pronounced,
         }
         path = os.path.join(out, "knee.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, doc)
         note = "" if knee.pronounced else " (no pronounced knee)"
         print(f"knee at complexity {knee.complexity}{note}")
         print(f"wrote {path}")
@@ -288,11 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ]
         value = kappa_metric([d.frontier for d in docs], eval_sets, lo, hi)
         path = os.path.join(out, "kappa.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {"kappa": value, "range": [lo, hi], "pairs": len(docs)}, fh, indent=2
-            )
-            fh.write("\n")
+        _write_json(path, {"kappa": value, "range": [lo, hi], "pairs": len(docs)})
         print(f"kappa over complexities [{lo}, {hi}]: {value:.6g}")
         print(f"wrote {path}")
         return 0

@@ -17,7 +17,7 @@ worse from one generation to the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,12 +67,20 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class MogaResult:
+    """What :func:`run_moga` returns.
+
+    ``config`` is the configuration the run used, with the data-dependent
+    defaults (population size, offspring count, mutation probability)
+    resolved to their values.
+    """
+
     frontier: Frontier
     snapshots: tuple[Snapshot, ...]
     generations: int
     evaluations: int
     unique_models: int
     population: tuple[EvaluatedModel, ...]
+    config: GAConfig
 
 
 def init_population(n_members: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,7 +223,8 @@ def run_moga(
     Returns
     -------
     MogaResult
-        Frontier, optional population snapshots, and evaluation counts.
+        Frontier, optional population snapshots, evaluation counts and
+        the resolved configuration.
         With ``config.archive`` the frontier covers every model ever
         evaluated; otherwise only the final population, matching the
         published procedure.
@@ -313,4 +322,7 @@ def run_moga(
         evaluations=evaluator.evaluations,
         unique_models=evaluator.unique_models,
         population=tuple(population),
+        config=replace(
+            config, population_size=n_pop, n_offspring=n_off, mutation_prob=p_mut
+        ),
     )

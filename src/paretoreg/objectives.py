@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import ols_batch
+from ._kernels import gram_solve, ols_batch
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 
 IN_SAMPLE = "in_sample"
@@ -147,32 +147,47 @@ class ObjectiveEvaluator:
     """Evaluates masks against one dataset and objective, with memoisation.
 
     Results are cached on the raw mask bit pattern, so re-evaluating a
-    duplicate mask costs a dictionary lookup rather than a fit.  All fits
-    go through the batch kernel; callers should prefer
-    :meth:`evaluate_many` to amortise the per-call overhead.
+    duplicate mask costs a dictionary lookup rather than a fit.  Callers
+    should prefer :meth:`evaluate_many` to amortise the per-call overhead.
+
+    Every mask's intercept and coefficients come from one full-data fit
+    by the SVD kernel :func:`ols_batch`; for the in-sample objective that
+    fit's MSE is the error.  For cross-validation the fold refits do not
+    use the SVD.  The Gram matrix G = A'A of the centred augmented matrix
+    A = [1, X - mean(X), y - mean(y)] is computed once (the intercept
+    absorbs the shift), and each fold's training Gram is G minus the
+    held-out rows' own Gram.  Fresh masks are grouped by size, and every
+    (fold, mask) system is solved in one batched call of
+    :func:`~paretoreg._kernels.gram_solve`.  The validation residuals are
+    computed on the held-out rows themselves.  A mask whose system fails
+    the fallback rule in any fold (a failed Cholesky factorisation or a
+    condition estimate above ``GRAM_COND_MAX``) is refitted fold by fold
+    by :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
     """
+
+    # Upper bound on the elements of the temporaries of one chunk of
+    # same-size masks (the system stack, the coefficients and the
+    # held-out residuals); larger batches are solved chunk by chunk.
+    _CHUNK_ELEMENTS = 1 << 16
 
     def __init__(self, data: Dataset, spec: ObjectiveSpec | None = None) -> None:
         self.data = data
         self.spec = (spec or ObjectiveSpec()).resolve(data.n)
         self._cache: dict[bytes, EvaluatedModel] = {}
         self._queries = 0
+        self._svd_fallbacks = 0
         if self.spec.kind == CROSS_VALIDATION:
-            part = self.spec.partition
-            self._train_sets = [
-                (part.train_indices(f), np.asarray(part.folds[f]))
-                for f in range(part.n_folds)
-            ]
-            # per-fold training views, materialised once
-            self._fold_data = [
-                (
-                    np.ascontiguousarray(data.X[tr]),
-                    np.ascontiguousarray(data.y[tr]),
-                    np.ascontiguousarray(data.X[va]),
-                    np.ascontiguousarray(data.y[va]),
-                )
-                for tr, va in self._train_sets
-            ]
+            folds = self.spec.partition.folds
+            X, y = data.X, data.y
+            A = np.column_stack((np.ones(data.n), X - X.mean(axis=0), y - y.mean()))
+            gram = A.T @ A
+            self._fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
+            # held-out rows per fold, zero-padded to a common length; a
+            # zero row adds nothing to a fold's residual sum of squares
+            self._val = np.zeros((len(folds), max(f.size for f in folds), A.shape[1]))
+            for i, f in enumerate(folds):
+                self._val[i, : f.size] = A[f]
+            self._train_gram = gram - np.swapaxes(self._val, 1, 2) @ self._val
 
     @property
     def evaluations(self) -> int:
@@ -183,6 +198,11 @@ class ObjectiveEvaluator:
     def unique_models(self) -> int:
         """Distinct masks fitted so far."""
         return len(self._cache)
+
+    @property
+    def svd_fallbacks(self) -> int:
+        """Cross-validated masks whose fold refits went to the SVD kernel."""
+        return self._svd_fallbacks
 
     def archive(self) -> list[EvaluatedModel]:
         """Every distinct model evaluated so far, in first-seen order."""
@@ -218,12 +238,7 @@ class ObjectiveEvaluator:
         if self.spec.kind == IN_SAMPLE:
             errors = mses
         else:
-            errors = np.zeros(masks.shape[0], dtype=np.float64)
-            for Xtr, ytr, Xva, yva in self._fold_data:
-                b0, b, _, _ = ols_batch(Xtr, ytr, masks)
-                preds = b0[None, :] + Xva @ b.T
-                errors += np.mean((yva[:, None] - preds) ** 2, axis=0)
-            errors /= len(self._fold_data)
+            errors = self._cv_errors(masks, complexities)
         out = []
         for i in range(masks.shape[0]):
             mask = masks[i]
@@ -238,6 +253,62 @@ class ObjectiveEvaluator:
                 )
             )
         return out
+
+    def _cv_errors(self, masks: np.ndarray, complexities: np.ndarray) -> np.ndarray:
+        """Cross-validated errors: Gram fold solves, SVD refits as fallback."""
+        errors = np.zeros(masks.shape[0], dtype=np.float64)
+        solved = np.zeros(masks.shape[0], dtype=np.bool_)
+        n_folds, width = self._train_gram.shape[:2]
+        for d in np.unique(complexities):
+            rows = np.flatnonzero(complexities == d)
+            per_mask = n_folds * ((int(d) + 1) ** 2 + width) + self._val[..., 0].size
+            step = max(1, self._CHUNK_ELEMENTS // per_mask)
+            for lo in range(0, rows.size, step):
+                chunk = rows[lo : lo + step]
+                errors[chunk], solved[chunk] = self._cv_gram(masks[chunk], int(d))
+        if not solved.all():
+            fallback = np.flatnonzero(~solved)
+            self._svd_fallbacks += fallback.size
+            errors[fallback] = self._cv_svd(masks[fallback])
+        return errors
+
+    def _cv_gram(self, masks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """CV errors of same-size masks from the fold training Grams.
+
+        Returns the errors and, per mask, whether every fold's system
+        passed the fallback rule.
+        """
+        m = masks.shape[0]
+        gram = self._train_gram
+        n_folds, width = gram.shape[0], gram.shape[1]
+        # columns of A per mask: the intercept, then the selected predictors
+        idx = np.zeros((m, d + 1), dtype=np.intp)
+        idx[:, 1:] = np.nonzero(masks)[1].reshape(m, d) + 1
+        folds = np.arange(n_folds)[None, :, None]
+        system = gram[folds[..., None], idx[:, None, :, None], idx[:, None, None, :]]
+        rhs = gram[folds, idx[:, None, :], width - 1]
+        beta, ok = gram_solve(
+            system.reshape(m * n_folds, d + 1, d + 1), rhs.reshape(m * n_folds, d + 1)
+        )
+        # w = (beta, -1) on A's columns, so A_v w is minus the residual
+        w = np.zeros((n_folds, m, width))
+        w[:, :, width - 1] = -1.0
+        w[:, np.arange(m)[:, None], idx] = beta.reshape(m, n_folds, d + 1).swapaxes(0, 1)
+        resid = self._val @ np.swapaxes(w, 1, 2)
+        fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / self._fold_sizes[:, None]
+        return fold_mse.mean(axis=0), ok.reshape(m, n_folds).all(axis=1)
+
+    def _cv_svd(self, masks: np.ndarray) -> np.ndarray:
+        """CV errors by one SVD refit per fold and mask."""
+        X, y = self.data.X, self.data.y
+        part = self.spec.partition
+        errors = np.zeros(masks.shape[0], dtype=np.float64)
+        for f, val in enumerate(part.folds):
+            train = part.train_indices(f)
+            b0, b, _, _ = ols_batch(X[train], y[train], masks)
+            preds = b0[None, :] + X[val] @ b.T
+            errors += np.mean((y[val][:, None] - preds) ** 2, axis=0)
+        return errors / part.n_folds
 
 
 def aic(mse: float, k: int, n: int, alt_form: bool = False) -> float:

@@ -13,7 +13,7 @@ from paretoreg.analysis import (
     os_plot,
 )
 from paretoreg.data import Dataset, EvaluatedModel, ObjectiveVector
-from paretoreg.moga import Snapshot
+from paretoreg.moga import GAConfig, Snapshot, run_moga
 from paretoreg.pareto import Frontier
 
 
@@ -125,6 +125,25 @@ class TestCriteriaScan:
         scan = criteria_scan(f, n=30)
         assert scan.rows[1].aic is None and scan.rows[1].bic is None
         assert scan.aic_argmin == 0  # only the finite row competes
+
+    def test_rounding_level_errors_have_no_criteria(self):
+        # p > n: complexities 7 and 8 interpolate the 8 rows, and their
+        # errors (about 1e-31) are rounding, not fits
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((8, 12))
+        y = gen.standard_normal(8)
+        data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(12)))
+        frontier = run_moga(data, GAConfig(iterations=300, seed=0)).frontier
+        assert frontier.complexities == tuple(range(9))
+        assert max(frontier.at_complexity(c).objective.error for c in (7, 8)) < 1e-29
+        scan = criteria_scan(frontier, data.n)
+        for row in scan.rows:
+            assert (row.aic is None) == (row.complexity >= 7)
+            assert (row.bic is None) == (row.complexity >= 7)
+        finite = [r for r in scan.rows if r.aic is not None]
+        assert scan.aic_argmin == min(finite, key=lambda r: r.aic).complexity
+        assert scan.bic_argmin == min(finite, key=lambda r: r.bic).complexity
+        assert scan.aic_argmin < 7 and scan.bic_argmin < 7
 
     def test_single_model_frontier(self):
         scan = criteria_scan(frontier_of([(2, 0.7)]), n=20)

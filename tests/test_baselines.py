@@ -50,6 +50,13 @@ def make_data(n=40, k=6, seed=7, noise=0.1):
     return Dataset(X=X, y=y, names=tuple(f"x{i + 1}" for i in range(k)))
 
 
+def exact_linear_data(seed):
+    """y = 2 + 3 x2 exactly, on 30 rows and 5 columns."""
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((30, 5))
+    return Dataset(X=X, y=2.0 + 3.0 * X[:, 1], names=tuple(f"x{i + 1}" for i in range(5)))
+
+
 class TestBestSubsetTable:
     def test_matches_enumeration_oracle(self):
         data = make_data(n=30, k=6, seed=3)
@@ -180,6 +187,14 @@ class TestForwardSelection:
         # zero residual: no later F statistic can clear the threshold
         assert len(traj.steps) == 1
 
+    def test_exact_linear_response_stops_after_its_column(self):
+        # after x2 enters, every SSE is rounding; rounding differences
+        # must not pass as partial-F evidence for another column
+        for seed in range(6):
+            data = exact_linear_data(seed)
+            traj = forward_selection(data)
+            assert [s.selected_names(data.names) for s in traj.steps] == [("x2",)]
+
     def test_huge_threshold_accepts_nothing(self):
         data = make_data()
         traj = forward_selection(data, enter_threshold=1e12)
@@ -212,6 +227,12 @@ class TestBackwardElimination:
         data = make_data(noise=0.05)
         traj = backward_elimination(data)
         assert set(traj.final.selected_names(data.names)) == {"x2", "x5"}
+
+    def test_exact_linear_response_keeps_only_its_column(self):
+        for seed in range(6):
+            data = exact_linear_data(seed)
+            traj = backward_elimination(data)
+            assert traj.final.selected_names(data.names) == ("x2",)
 
     def test_rank_deficient_start_shrinks_first(self):
         # more predictors than informative rows: the full fit is

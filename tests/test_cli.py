@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paretoreg.cli import main
+from paretoreg.data import Dataset, save_csv
 from paretoreg.serialize import read_frontier_json
 
 
@@ -95,6 +97,24 @@ class TestRun:
         assert snaps[0] == "generation,complexity,error"
         gens = {ln.split(",")[0] for ln in snaps[1:]}
         assert gens == {"0", "20", "40"}
+
+    def test_resolved_config_and_run_json(self, tmp_path):
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((60, 6))
+        y = 1.0 + X[:, 0] - X[:, 3] + gen.standard_normal(60)
+        csv = tmp_path / "data.csv"
+        save_csv(Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(6))), str(csv))
+        out = tmp_path / "run"
+        assert run_cli("run", "--data", str(csv), "--target", "y", "--out", str(out)) == 0
+        doc = json.loads((out / "frontier.json").read_text())
+        config = doc["config"]
+        assert config["population_size"] == 6
+        assert config["mutation_prob"] == 1 / 6
+        assert config["n_offspring"] == 6
+        assert config["iterations"] == 500
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"] == config
+        assert run["stats"] == doc["stats"]
 
     def test_reproducible_models(self, pipeline, tmp_path):
         rerun = tmp_path / "rerun"

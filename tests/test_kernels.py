@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paretoreg._kernels import active_backend, ols_batch
+from paretoreg._kernels import GRAM_COND_MAX, active_backend, gram_solve, ols_batch
 
 from conftest import lstsq_fit
 
@@ -117,3 +117,55 @@ class TestValidation:
         intercepts, coefs, mses, deficient = ols_batch(X, y, np.zeros((0, 5), dtype=bool))
         assert intercepts.shape == (0,)
         assert coefs.shape == (0, 5)
+
+
+def spd_with_condition(gen, d, cond):
+    """A random symmetric positive definite d x d matrix of given 2-norm condition."""
+    Q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    return (Q * np.geomspace(1.0, 1.0 / cond, d)) @ Q.T
+
+
+class TestGramSolve:
+    def test_solves_and_flags_each_system_alone(self):
+        gen = np.random.default_rng(3)
+        d = 5
+        good = [spd_with_condition(gen, d, c) for c in (1.0, 10.0, 1e3)]
+        singular = np.ones((d, d))
+        indefinite = np.diag([1.0, 1.0, -1.0, 1.0, 1.0])
+        zero_diagonal = np.eye(d)
+        zero_diagonal[2, 2] = 0.0
+        ill = spd_with_condition(gen, d, 1e3 * GRAM_COND_MAX)
+        # failures sit between good systems, so one failing factorisation
+        # must not reject its neighbours
+        G = np.stack([good[0], singular, good[1], indefinite, zero_diagonal, good[2], ill])
+        G = G * np.array([1.0, 2.0, 1e6, 1.0, 1.0, 1e-6, 1.0])[:, None, None]
+        b = gen.standard_normal((G.shape[0], d))
+        x, ok = gram_solve(G, b)
+        assert ok.tolist() == [True, False, True, False, False, True, False]
+        for i in np.flatnonzero(ok):
+            np.testing.assert_allclose(x[i], np.linalg.solve(G[i], b[i]), rtol=1e-10)
+        assert not x[~ok].any()
+
+    def test_rejects_every_system_above_the_bound(self):
+        # the rule reads the condition of the system scaled to unit
+        # diagonal, and its estimate bounds that from above, so no system
+        # whose scaled condition exceeds the bound can pass
+        gen = np.random.default_rng(4)
+        for d in (2, 4, 8, 16):
+            conds = GRAM_COND_MAX * np.geomspace(0.1, 1e4, 40)
+            G = np.stack([spd_with_condition(gen, d, c) for c in conds])
+            _, ok = gram_solve(G, gen.standard_normal((40, d)))
+            s = 1.0 / np.sqrt(np.einsum("mii->mi", G))
+            w = np.linalg.eigvalsh(G * s[:, :, None] * s[:, None, :])
+            scaled_cond = w[:, -1] / w[:, 0]
+            assert (scaled_cond > GRAM_COND_MAX).sum() >= 10
+            assert not ok[scaled_cond > GRAM_COND_MAX].any()
+
+    def test_accepts_well_conditioned_systems(self):
+        gen = np.random.default_rng(5)
+        for d in (1, 3, 10, 31):
+            G = np.stack([spd_with_condition(gen, d, 100.0) for _ in range(8)])
+            b = gen.standard_normal((8, d))
+            x, ok = gram_solve(G, b)
+            assert ok.all()
+            np.testing.assert_allclose(x, np.linalg.solve(G, b[:, :, None])[:, :, 0], rtol=1e-10)

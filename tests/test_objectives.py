@@ -17,6 +17,8 @@ from paretoreg.objectives import (
     make_partition,
 )
 
+from paretoreg.simdata import expand_features, gen_additive, gen_correlated
+
 from conftest import lstsq_fit
 
 
@@ -117,6 +119,48 @@ class TestCrossValidation:
         ev2 = ObjectiveEvaluator(data, spec)
         mask = np.array([True, False, True, False])
         assert ev1.evaluate(mask).objective == ev2.evaluate(mask).objective
+
+
+def duplicate_column_dataset():
+    """12 rows, 8 columns, column 6 a copy of column 3."""
+    gen = np.random.default_rng(9)
+    X = gen.standard_normal((12, 8))
+    X[:, 5] = X[:, 2]
+    y = 1.0 + X[:, 0] - 2.0 * X[:, 2] + 0.3 * gen.standard_normal(12)
+    return Dataset(X=X, y=y, names=tuple(f"v{i}" for i in range(8)))
+
+
+def gram_cases():
+    full, _ = gen_correlated(200, p=30, seed=3)
+    raw, _ = gen_additive(300, seed=4)
+    return {
+        "correlated": (full, 10),
+        "example1": (expand_features(raw), 10),
+        # 2 folds of 6 rows: every mask of 6 or more columns has fewer
+        # training rows than coefficients
+        "duplicate_column": (duplicate_column_dataset(), 2),
+    }
+
+
+class TestGramCrossValidation:
+    """The evaluator's fold-downdate CV errors against the per-mask oracle."""
+
+    @pytest.mark.parametrize("case", ["correlated", "example1", "duplicate_column"])
+    def test_matches_cv_objective(self, case):
+        data, folds = gram_cases()[case]
+        spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds, seed=5).resolve(data.n)
+        gen = np.random.default_rng(6)
+        masks = gen.random((500, data.k)) < gen.random((500, 1))
+        ev = ObjectiveEvaluator(data, spec)
+        for mask, model in zip(masks, ev.evaluate_many(list(masks))):
+            want = cv_objective(data, mask, spec)
+            assert model.objective.complexity == want.complexity
+            assert model.objective.error == pytest.approx(want.error, rel=1e-10, abs=0)
+        assert ev.svd_fallbacks < ev.unique_models
+        if case == "correlated":
+            assert ev.svd_fallbacks == 0
+        else:
+            assert ev.svd_fallbacks > 0
 
 
 class TestObjectiveEvaluator:
