@@ -17,7 +17,6 @@ from .data import (
     EvaluatedModel,
     ObjectiveVector,
     load_csv,
-    mask_complexity,
     mask_from_string,
     mask_to_string,
     save_csv,
@@ -84,7 +83,6 @@ __all__ = [
     "save_csv",
     "mask_from_string",
     "mask_to_string",
-    "mask_complexity",
     "FitResult",
     "fit_ols",
     "predict",

@@ -55,16 +55,6 @@ def mask_to_string(mask: np.ndarray | Sequence[bool]) -> str:
     return "".join("1" if b else "0" for b in _as_mask(mask))
 
 
-def mask_complexity(mask: np.ndarray | Sequence[bool], count_intercept: bool = False) -> int:
-    """Number of selected predictors; ``count_intercept`` adds one.
-
-    The intercept is always part of the fitted model but by default does
-    not count toward complexity.  Some reporting conventions count fitted
-    coefficients instead, hence the flag.
-    """
-    return int(_as_mask(mask).sum()) + (1 if count_intercept else 0)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An immutable regression dataset.

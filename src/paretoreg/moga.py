@@ -7,8 +7,8 @@ The population is a multiset of evaluated masks.  Each iteration:
    uniformly from the non-dominated set and one drawn uniformly from the
    whole population, then mutated bitwise;
 3. parents and offspring are merged and the merged pool is trimmed back
-   to the population size by repeatedly deleting dominated members with
-   the highest variable count (environmental selection).
+   to the population size by deleting dominated members and extra copies
+   with the highest variable count first (environmental selection).
 
 Elitism is implicit: a member is only ever displaced by the trimming
 rule, so the best error seen at any represented complexity cannot get
@@ -17,6 +17,7 @@ worse from one generation to the next.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, EvaluatedModel
 from .objectives import ObjectiveEvaluator, ObjectiveSpec
-from .pareto import Frontier, _dominance_matrix, nondominated
+from .pareto import Frontier, nondominated, sweep
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,20 @@ def environmental_selection(
 ) -> list[EvaluatedModel]:
     """Trim a merged population down to ``n_keep`` members.
 
-    Repeatedly deletes one removable member with the highest complexity
-    (ties broken by highest error, then by lexicographically largest
-    mask bits).  A member is removable when it is dominated by a live
-    member or when it is an extra copy of a mask that is already
-    present.  Whenever no member is removable, the member with the
-    highest complexity is deleted instead.  Dominance is re-derived
-    after each deletion; survivors keep their input order.
+    The rule: repeatedly delete one removable member with the highest
+    key (complexity, then error, then mask bits; among equal keys the
+    lowest input index).  A member is removable when a live member
+    dominates it or another live member has the same mask.  Whenever no
+    member is removable, the member with the highest key is deleted
+    instead.  Survivors keep their input order.
+
+    Two sweeps in descending key order apply this rule exactly.  A
+    member's dominators all have lower keys, so they are alive when the
+    sweep reaches it and its dominated flag is the one from the whole
+    pool.  Deletions only lower dominator and copy counts, so a member
+    that is not removable when reached never becomes removable later.
+    The first sweep therefore deletes every member that is removable
+    when reached, and the second trims what is left in the same order.
 
     Treating extra copies as removable is what keeps the search stable:
     offspring frequently clone existing members, the clones are never
@@ -171,33 +179,23 @@ def environmental_selection(
         raise ValueError(
             f"cannot keep {n_keep} members from a pool of {len(models)}"
         )
-    m = len(models)
-    phi1 = np.fromiter((x.objective.complexity for x in models), dtype=np.int64)
-    phi2 = np.fromiter((x.objective.error for x in models), dtype=np.float64)
-    keys = [x.mask_key() for x in models]
-    copies: dict[bytes, int] = {}
-    for key in keys:
-        copies[key] = copies.get(key, 0) + 1
-    # Pairwise dominance never changes; removing a dominator just lowers
-    # the victim's count, so counts stand in for re-deriving the relation.
-    dom = _dominance_matrix(phi1, phi2)
-    dom_count = dom.sum(axis=0)
-    alive = np.ones(m, dtype=bool)
-    n_alive = m
-    while n_alive > n_keep:
-        candidates = [
-            i
-            for i in range(m)
-            if alive[i] and (dom_count[i] > 0 or copies[keys[i]] > 1)
-        ]
-        if not candidates:
-            candidates = [i for i in range(m) if alive[i]]
-        worst = max(candidates, key=lambda i: (phi1[i], phi2[i], keys[i]))
-        alive[worst] = False
-        copies[keys[worst]] -= 1
-        dom_count = dom_count - dom[worst]
-        n_alive -= 1
-    return [models[i] for i in range(m) if alive[i]]
+    keys, order, dominated = sweep(models)
+    copies = Counter(key[2] for key in keys)
+    # reverse=True keeps equal keys in ascending index order
+    descending = sorted(order, key=keys.__getitem__, reverse=True)
+    alive = [True] * len(models)
+    n_alive = len(models)
+    for only_removable in (True, False):
+        for i in descending:
+            if n_alive == n_keep:
+                break
+            if alive[i] and (
+                not only_removable or dominated[i] or copies[keys[i][2]] > 1
+            ):
+                alive[i] = False
+                copies[keys[i][2]] -= 1
+                n_alive -= 1
+    return [m for m, keep in zip(models, alive) if keep]
 
 
 def run_moga(

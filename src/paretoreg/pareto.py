@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .data import EvaluatedModel, ObjectiveVector
 
@@ -19,35 +18,43 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return a.complexity < b.complexity or a.error < b.error
 
 
-def _dominance_matrix(phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
-    """dom[i, j] is True when point i dominates point j."""
-    le = (phi1[:, None] <= phi1[None, :]) & (phi2[:, None] <= phi2[None, :])
-    lt = (phi1[:, None] < phi1[None, :]) | (phi2[:, None] < phi2[None, :])
-    return le & lt
+def sweep(models: Sequence[EvaluatedModel]) -> tuple[list[tuple], list[int], list[bool]]:
+    """Sort keys, ascending key order and dominated flags of ``models``.
+
+    The key of a model is (complexity, error, mask bytes); equal keys keep
+    their input order.  Walking that order once decides dominance, the
+    2-D maxima problem (Kung, Luccio & Preparata 1975): a model is
+    dominated exactly when a lower complexity has already reached an
+    error <= its own, or the first model of its own complexity has a
+    strictly lower error.
+    """
+    keys = [(m.objective.complexity, m.objective.error, m.mask_key()) for m in models]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    dominated = [False] * len(keys)
+    floor = None  # least error over the complexities already passed
+    for _, run in groupby(order, key=lambda i: keys[i][0]):
+        run = list(run)
+        lead = keys[run[0]][1]
+        for i in run:
+            error = keys[i][1]
+            dominated[i] = error > lead or (floor is not None and floor <= error)
+        floor = lead if floor is None else min(floor, lead)
+    return keys, order, dominated
 
 
 def nondominated(models: Sequence[EvaluatedModel]) -> list[EvaluatedModel]:
     """Non-dominated subset of ``models``, deduplicated on objectives.
 
-    Among models sharing an identical objective vector the one with the
-    lexicographically smallest mask bit pattern is kept.  Output preserves
-    the input order of the survivors.
+    Among models sharing an identical objective vector the first in key
+    order, which has the lexicographically smallest mask bit pattern, is
+    kept.  Output preserves the input order of the survivors.
     """
-    if not models:
-        return []
-    phi1 = np.fromiter((m.objective.complexity for m in models), dtype=np.int64)
-    phi2 = np.fromiter((m.objective.error for m in models), dtype=np.float64)
-    dominated = _dominance_matrix(phi1, phi2).any(axis=0)
-
-    best: dict[ObjectiveVector, int] = {}
-    for i, model in enumerate(models):
-        if dominated[i]:
-            continue
-        prev = best.get(model.objective)
-        if prev is None or model.mask_key() < models[prev].mask_key():
-            best[model.objective] = i
-    keep = sorted(best.values())
-    return [models[i] for i in keep]
+    _, order, dominated = sweep(models)
+    first: dict[ObjectiveVector, int] = {}
+    for i in order:
+        if not dominated[i]:
+            first.setdefault(models[i].objective, i)
+    return [models[i] for i in sorted(first.values())]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from paretoreg.data import (
     EvaluatedModel,
     ObjectiveVector,
     load_csv,
-    mask_complexity,
     mask_from_string,
     mask_to_string,
     save_csv,
@@ -24,15 +23,10 @@ class TestMasks:
         with pytest.raises(ValueError):
             mask_from_string("0121")
 
-    def test_complexity(self):
-        assert mask_complexity(mask_from_string("00000")) == 0
-        assert mask_complexity(mask_from_string("01011")) == 3
-        assert mask_complexity(mask_from_string("01011"), count_intercept=True) == 4
-
     def test_accepts_int_arrays(self):
-        assert mask_complexity(np.array([0, 1, 1])) == 2
+        assert mask_to_string(np.array([0, 1, 1])) == "011"
         with pytest.raises(ValueError):
-            mask_complexity(np.array([0, 2, 1]))
+            mask_to_string(np.array([0, 2, 1]))
 
 
 class TestDataset:

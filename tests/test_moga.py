@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from paretoreg.baselines import best_subset_table
-from paretoreg.data import Dataset, EvaluatedModel, ObjectiveVector
+from paretoreg.data import Dataset, EvaluatedModel, ObjectiveVector, mask_to_string
 from paretoreg.moga import (
     GAConfig,
     crossover,
@@ -164,22 +166,52 @@ class TestRepairBounds:
 
 
 def oracle_selection(models, n_keep):
-    """Literal restatement of the trimming rule, re-derived per step."""
+    """Literal restatement of the trimming rule, re-derived per step.
+
+    A live member is removable when a live member dominates it or another
+    live member has the same mask bytes; the highest-ranked removable
+    member goes (the highest-ranked live one when none is removable), and
+    ``max`` picks the lowest index among equal ranks.
+    """
     alive = list(range(len(models)))
     rank = {
         i: (m.objective.complexity, m.objective.error, m.mask_key())
         for i, m in enumerate(models)
     }
+    dominators = {
+        i: [j for j in alive if dominates(models[j].objective, models[i].objective)]
+        for i in alive
+    }
     while len(alive) > n_keep:
-        dominated = [
+        live = set(alive)
+        copies = Counter(rank[i][2] for i in alive)
+        removable = [
             i
             for i in alive
-            if any(dominates(models[j].objective, models[i].objective) for j in alive)
+            if copies[rank[i][2]] > 1 or not live.isdisjoint(dominators[i])
         ]
-        pool = dominated if dominated else alive
+        pool = removable if removable else alive
         worst = max(pool, key=lambda i: rank[i])
         alive.remove(worst)
     return [models[i] for i in alive]
+
+
+def pool_with_clones(gen, size, k, error):
+    """A merged-pool stand-in: fresh masks, true clones (the same object,
+    as the evaluator's cache hands out) and same-mask members whose
+    error differs.  ``error(complexity)`` draws each fresh error."""
+    pop = []
+    for _ in range(size):
+        r = gen.random()
+        if pop and r < 0.3:
+            pop.append(pop[int(gen.integers(len(pop)))])
+        elif pop and r < 0.38:
+            twin = pop[int(gen.integers(len(pop)))]
+            pop.append(em(mask_to_string(twin.mask), error(twin.objective.complexity)))
+        else:
+            bits = gen.random(k) < gen.random()
+            pop.append(em(mask_to_string(bits), error(int(bits.sum()))))
+    return pop
 
 
 class TestEnvironmentalSelection:
@@ -201,7 +233,7 @@ class TestEnvironmentalSelection:
             ObjectiveVector(2, 5.0),
         ]
 
-    def test_matches_oracle_on_distinct_masks(self):
+    def test_matches_oracle_on_distinct_and_repeated_masks(self):
         gen = np.random.default_rng(14)
         k = 6
         for _ in range(120):
@@ -212,6 +244,28 @@ class TestEnvironmentalSelection:
                 bits = format(int(code), f"0{k}b")
                 pop.append(em(bits, float(gen.choice([0.5, 1.0, 1.5, 2.0]))))
             n_keep = int(gen.integers(1, size + 1))
+            got = environmental_selection(pop, n_keep)
+            want = oracle_selection(pop, n_keep)
+            assert [id(m) for m in got] == [id(m) for m in want]
+        for _ in range(300):
+            size = int(gen.integers(1, 61))
+            pop = pool_with_clones(
+                gen, size, 5, lambda c: float(gen.choice([0.5, 1.0, 1.5, 2.0]))
+            )
+            n_keep = int(gen.integers(1, size + 1))
+            got = environmental_selection(pop, n_keep)
+            want = oracle_selection(pop, n_keep)
+            assert [id(m) for m in got] == [id(m) for m in want]
+
+    def test_matches_oracle_on_ga_k100_sized_pools(self):
+        # the merge pool of a K=100 search: 100 parents plus 100 offspring,
+        # with error falling in complexity so that many members trade off
+        # (the smaller n_keep values also run out of removable members)
+        gen = np.random.default_rng(15)
+        for n_keep in (100, 100, 50, 20):
+            pop = pool_with_clones(
+                gen, 200, 100, lambda c: 10.0 / (1 + c) + gen.choice([0.0, 0.2, 0.4])
+            )
             got = environmental_selection(pop, n_keep)
             want = oracle_selection(pop, n_keep)
             assert [id(m) for m in got] == [id(m) for m in want]

@@ -59,6 +59,19 @@ def oracle_nondominated(models):
     return out
 
 
+def oracle_survivors(models):
+    """Not dominated, smallest mask among equal objectives (then lowest
+    index), in input order."""
+    out = []
+    for i, m in enumerate(models):
+        if any(dominates(o.objective, m.objective) for o in models):
+            continue
+        twins = [j for j, o in enumerate(models) if o.objective == m.objective]
+        if min(twins, key=lambda j: (models[j].mask_key(), j)) == i:
+            out.append(m)
+    return out
+
+
 class TestNondominated:
     def test_empty(self):
         assert nondominated([]) == []
@@ -79,6 +92,28 @@ class TestNondominated:
             assert {m.objective for m in got} == expected_objs
             # exactly one representative per surviving objective
             assert len(got) == len(expected_objs)
+            assert [id(m) for m in got] == [id(m) for m in oracle_survivors(pop)]
+        # equal objectives carrying different masks, and twins that share
+        # mask and objective but are other objects
+        k = 5
+        for trial in range(300):
+            pop = []
+            for _ in range(int(gen.integers(1, 25))):
+                if pop and gen.random() < 0.15:
+                    twin = pop[int(gen.integers(len(pop)))]
+                    mask, error = twin.mask, twin.objective.error
+                else:
+                    mask = gen.random(k) < 0.5
+                    error = float(gen.choice([0.5, 1.0, 2.0, 3.0]))
+                c = int(mask.sum())
+                pop.append(
+                    EvaluatedModel(
+                        mask=mask, objective=obj(c, error),
+                        intercept=0.0, coefficients=np.zeros(c),
+                    )
+                )
+            got = nondominated(pop)
+            assert [id(m) for m in got] == [id(m) for m in oracle_survivors(pop)]
 
     def test_dedup_keeps_smallest_mask(self):
         a = EvaluatedModel(

@@ -1,0 +1,71 @@
+"""Print one sha256 over the search and baseline results on fixed inputs.
+
+    PYTHONPATH=src python3 tools/frontier_digest.py
+
+Run it at two commits and compare the lines: equal digests mean that
+every reported model is bit-identical.  The digest covers the mask,
+``error.hex()``, ``intercept.hex()`` and the coefficient bytes of:
+
+- the frontier and the final population of ``run_moga`` on inputs shaped
+  like those of the benchmark's search workloads (``gen_correlated`` at
+  500x15 for 400 generations, 200x30 with 10-fold CV for 200
+  generations, 500x100 for 10 generations), plus one run with
+  ``archive=True`` and ``complexity_bounds``;
+- ``best_subset_table`` at k=12;
+- the steps and final models of forward, backward and stepwise selection.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from paretoreg.baselines import (
+    backward_elimination,
+    best_subset_table,
+    forward_selection,
+    stepwise_selection,
+)
+from paretoreg.moga import GAConfig, run_moga
+from paretoreg.objectives import CROSS_VALIDATION, ObjectiveSpec
+from paretoreg.simdata import gen_correlated, truncate_predictors
+
+
+def _data(rows: int, cols: int, seed: int):
+    full, _ = gen_correlated(rows, p=100, seed=seed)
+    return truncate_predictors(full, cols)
+
+
+def _search(rows: int, cols: int, seed: int, **config) -> list:
+    result = run_moga(_data(rows, cols, seed), GAConfig(seed=seed, **config))
+    return [result.frontier.models, result.population]
+
+
+def results():
+    """Every digested sequence of models, in a fixed order."""
+    cv = ObjectiveSpec(kind=CROSS_VALIDATION, folds=10, seed=1)
+    yield from _search(500, 15, 1, iterations=400)
+    yield from _search(200, 30, 1, iterations=200, objective=cv)
+    yield from _search(500, 100, 1, iterations=10)
+    yield from _search(300, 20, 2, iterations=150, archive=True, complexity_bounds=(2, 12))
+    small = _data(200, 12, 5)
+    yield best_subset_table(small)
+    for method in (forward_selection, backward_elimination, stepwise_selection):
+        trajectory = method(small)
+        yield trajectory.steps
+        yield [trajectory.final]
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    for models in results():
+        for m in models:
+            h.update(m.mask_key())
+            h.update(m.objective.error.hex().encode())
+            h.update(m.intercept.hex().encode())
+            h.update(m.coefficients.tobytes())
+        h.update(b"|")
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
