@@ -1,20 +1,27 @@
 """Batch least-squares kernel and the package's numerical policy.
 
 Every submodel fit in the package funnels through :func:`ols_batch`, which
-solves many masked least-squares problems in one call.  Each fit is an
-SVD-based minimum-norm solve of the intercept-augmented submatrix, with
-singular values below ``max(n, k+1) * eps * smax`` treated as zero.  Rank
-deficiency is flagged, not fatal; the minimum-norm solution is still
-returned.
+solves many masked least-squares problems in one call.  It works from the
+centred statistics of :class:`GramStats`, built once per dataset: the
+intercept is absorbed by centring, and each mask's coefficients solve its
+block of the centred normal equations.  Masks are grouped by size and the
+systems of a group are solved together by :func:`gram_factor` and
+:func:`gram_apply`, followed by one step of iterative refinement against
+the residual on the n rows.  :func:`gram_solve` factors and solves stacks
+of unscaled systems the same way (the cross-validation fold downdates).
 
-:func:`gram_solve` solves stacks of small normal-equation systems for the
-cross-validation path.  Normal equations lose accuracy as cond(A)^2, not
-cond(A) (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-ed., ch. 20), so a system is solved there only when it passes the
-fallback rule; every other system is refitted by :func:`ols_batch`.
+Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 20), so a
+system is solved from them only when it passes the fallback rule below.
+Every other mask is fitted by an SVD-based minimum-norm solve of its
+intercept-augmented submatrix, with singular values below
+``max(n, k+1) * eps * smax`` treated as zero.  Rank deficiency found
+there is flagged, not fatal; the minimum-norm solution is still returned.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +32,7 @@ _EPS = float(np.finfo(np.float64).eps)
 #
 # Fallback rule of the Gram solves: a system scaled to unit diagonal is
 # solved from its normal equations only when its Cholesky factor exists
-# and the condition estimate of :func:`gram_solve` (an upper bound on the
+# and the condition estimate of :func:`gram_factor` (an upper bound on the
 # 2-norm condition number) is at most GRAM_COND_MAX.  Forward errors then
 # stay near GRAM_COND_MAX * eps ~ 2e-10 in the worst case.
 GRAM_COND_MAX = 1e6
@@ -35,6 +42,11 @@ GRAM_COND_MAX = 1e6
 # about the mean (the intercept-only model's SSE), is zero up to rounding.
 # The same test holds in MSE units, with the intercept-only MSE as SST.
 SSE_ZERO_FACTOR = 10.0
+
+# Upper bound on the elements of the temporaries of one chunk of
+# same-size systems (in ols_batch the gathered columns, the systems and
+# the residuals); larger groups are solved chunk by chunk.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def active_backend() -> str:
@@ -54,7 +66,40 @@ def is_zero_error(error: float, n: int, reference: float) -> bool:
     return error <= SSE_ZERO_FACTOR * n * _EPS * reference
 
 
-def ols_batch(X, y, masks):
+class GramStats(NamedTuple):
+    """Centred statistics of one dataset, shared by every fit against it.
+
+    ``gram`` is the Gram matrix of ``[X - mean(X), y - mean(y)]``: its
+    leading k x k block is Xc'Xc, its last column holds Xc'yc and its
+    corner yc'yc.  ``unit`` is Xc'Xc scaled to unit diagonal by
+    ``scale`` = diag(Xc'Xc)^(-1/2) (1 for a column with no spread), so
+    that a mask's scaled system is a submatrix of ``unit``.  ``xct`` is
+    Xc transposed (k, n), so that the rows of a mask's columns are
+    contiguous.
+    """
+
+    x_mean: np.ndarray
+    y_mean: float
+    xct: np.ndarray
+    yc: np.ndarray
+    gram: np.ndarray
+    unit: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, X, y) -> "GramStats":
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        x_mean = X.mean(axis=0)
+        y_mean = float(y.mean())
+        A = np.column_stack((X - x_mean, y - y_mean))
+        xct = np.ascontiguousarray(A[:, :-1].T)
+        gram = A.T @ A
+        unit, scale = _unit_diagonal(gram[None, :-1, :-1])
+        return cls(x_mean, y_mean, xct, np.ascontiguousarray(A[:, -1]), gram, unit[0], scale[0])
+
+
+def ols_batch(X, y, masks, stats: GramStats | None = None):
     """Fit one least-squares model per mask row.
 
     Parameters
@@ -65,6 +110,10 @@ def ols_batch(X, y, masks):
         Response (float64).
     masks : ndarray, shape (m, k_total), bool
         One candidate model per row; True marks a selected column.
+    stats : GramStats, optional
+        ``GramStats.of(X, y)``, for callers that fit many batches against
+        one dataset; built here when omitted.  Results do not depend on
+        whether it is passed, nor on which other masks share the batch.
 
     Returns
     -------
@@ -72,9 +121,11 @@ def ols_batch(X, y, masks):
     coefs : ndarray, shape (m, k_total)
         Dense coefficients; zero at unselected columns.
     mses : ndarray, shape (m,)
-        Mean squared residual over all n rows (divisor n).
+        Mean squared residual over all n rows (divisor n); exactly 0.0
+        at or below the SSE zero floor.
     deficient : ndarray, shape (m,), bool
-        True where the augmented submatrix was numerically rank deficient.
+        True where the centred system failed the fallback rule and the
+        SVD of the augmented submatrix then found it rank deficient.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -87,17 +138,41 @@ def ols_batch(X, y, masks):
         raise ValueError(
             f"mask width {masks.shape[1]} does not match k={X.shape[1]}"
         )
+    if stats is None:
+        stats = GramStats.of(X, y)
+    elif stats.xct.shape != X.shape[::-1]:
+        raise ValueError(f"stats built for shape {stats.xct.shape[::-1]}, X is {X.shape}")
     m, k_total = masks.shape
     n = X.shape[0]
-    intercepts = np.zeros(m, dtype=np.float64)
+    if m == 0:
+        return np.zeros(0), np.zeros((0, k_total)), np.zeros(0), np.zeros(0, dtype=np.bool_)
+    # masks in size order, and all their column indices in that order
+    sizes = np.count_nonzero(masks, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    columns = np.nonzero(masks[order])[1]
+    fits = []
+    offset = 0
+    for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
+        step = max(1, CHUNK_ELEMENTS // (d * (d + n) + n))
+        for lo in range(0, count, step):
+            size = min(step, count - lo)
+            cols = columns[offset + lo * d : offset + (lo + size) * d]
+            fits.append(_gram_fit(stats, cols.reshape(size, d)))
+        offset += count * d
+    b0, beta, mse, ok = (np.concatenate(part) for part in zip(*fits))
+    intercepts = np.empty(m, dtype=np.float64)
     coefs = np.zeros((m, k_total), dtype=np.float64)
-    mses = np.zeros(m, dtype=np.float64)
+    mses = np.empty(m, dtype=np.float64)
+    solved = np.empty(m, dtype=np.bool_)
+    intercepts[order] = b0
+    coefs[np.repeat(order, sizes[order]), columns] = beta
+    mses[order] = mse
+    solved[order] = ok
     deficient = np.zeros(m, dtype=np.bool_)
-    ones = np.ones((n, 1), dtype=np.float64)
-    for i in range(m):
+    for i in np.flatnonzero(~solved).tolist():
         cols = np.flatnonzero(masks[i])
         k = cols.size
-        A = np.concatenate((ones, X[:, cols]), axis=1)
+        A = np.column_stack((np.ones(n), X[:, cols]))
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         tol = max(n, k + 1) * _EPS * s[0]
         rank = int((s > tol).sum())
@@ -108,7 +183,34 @@ def ols_batch(X, y, masks):
         coefs[i, cols] = beta[1:]
         mses[i] = float(resid @ resid) / n
         deficient[i] = rank < k + 1
+    mses[is_zero_error(mses, n, stats.gram[-1, -1] / n)] = 0.0
     return intercepts, coefs, mses, deficient
+
+
+def _gram_fit(stats: GramStats, cols: np.ndarray):
+    """Fits of same-size masks from the centred normal equations.
+
+    ``cols`` (m, d) lists each mask's columns.  Returns the intercepts,
+    the coefficients (flattened, mask by mask), the MSEs and which
+    systems passed the fallback rule; the others hold no fit.  Every
+    product runs item by item over the stack, so a row's bits do not
+    depend on the others.
+    """
+    m, d = cols.shape
+    yc = stats.yc
+    if d == 0:
+        mse = float(yc @ yc) / yc.size
+        return np.full(m, stats.y_mean), np.zeros(0), np.full(m, mse), np.ones(m, bool)
+    factor = gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
+    beta = gram_apply(factor, stats.gram[cols, -1])
+    xs = stats.xct[cols]
+    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
+    # one step of iterative refinement with the same factor
+    beta += gram_apply(factor, (xs @ resid[:, :, None])[:, :, 0])
+    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
+    mse = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / yc.size
+    b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
+    return b0, beta.ravel(), mse, factor.ok
 
 
 def _cholesky(C):
@@ -128,14 +230,60 @@ def _cholesky(C):
     return np.concatenate((L_a, L_b)), np.concatenate((ok_a, ok_b))
 
 
+class GramFactor(NamedTuple):
+    """Stacked systems factored by :func:`gram_factor`.
+
+    ``m_inv`` is L^-1 D per system, so that G^-1 = m_inv' m_inv; it is
+    zero for systems that failed the fallback rule (``ok`` False).
+    """
+
+    m_inv: np.ndarray
+    ok: np.ndarray
+
+
+def _unit_diagonal(G):
+    """Stacked systems scaled to unit diagonal: (D G D, D), D = diag(G)^(-1/2).
+
+    A diagonal entry that is not positive keeps a scale of 1, so the
+    Cholesky factorisation of that system fails.
+    """
+    diag = G.diagonal(axis1=1, axis2=2)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return G * scale[:, :, None] * scale[:, None, :], scale
+
+
+def gram_factor(C, scale) -> GramFactor:
+    """Factor stacked systems G = C / (scale scale') and apply the fallback rule.
+
+    ``C`` (m, d, d) holds the systems scaled to unit diagonal and
+    ``scale`` (m, d) the scale D = diag(G)^(-1/2), so C = D G D; C is
+    factored as L L'.  The condition estimate is
+    ``||C||_inf * trace(C^-1)``, with trace(C^-1) = ||L^-1||_F^2: both
+    factors bound the extreme eigenvalues from outside, so the estimate
+    is never below cond_2(C).  ``ok`` is False where the factorisation
+    fails or the estimate exceeds ``GRAM_COND_MAX``; those systems must
+    be solved another way.
+    """
+    L, ok = _cholesky(C)
+    if not ok.all():
+        L[~ok] = np.eye(C.shape[1])
+    l_inv = np.linalg.inv(L)
+    estimate = np.abs(C).sum(axis=2).max(axis=1) * (l_inv * l_inv).sum(axis=(1, 2))
+    ok &= estimate <= GRAM_COND_MAX
+    m_inv = l_inv * scale[:, None, :]
+    if not ok.all():
+        m_inv[~ok] = 0.0
+    return GramFactor(m_inv, ok)
+
+
+def gram_apply(factor: GramFactor, b):
+    """Solve ``G x = b`` for each system of ``factor``; zero where not ``ok``."""
+    m_inv = factor.m_inv
+    return (np.swapaxes(m_inv, 1, 2) @ (m_inv @ b[:, :, None]))[:, :, 0]
+
+
 def gram_solve(G, b):
     """Solve stacked symmetric systems ``G x = b`` that pass the fallback rule.
-
-    Each system is scaled to unit diagonal, C = D G D with
-    D = diag(G)^(-1/2), and solved through the Cholesky factor C = L L'.
-    The condition estimate is ``||C||_inf * trace(C^-1)``, with
-    trace(C^-1) = ||L^-1||_F^2: both factors bound the extreme
-    eigenvalues from outside, so the estimate is never below cond_2(C).
 
     Parameters
     ----------
@@ -148,25 +296,9 @@ def gram_solve(G, b):
         Solutions; zero where ``ok`` is False.
     ok : ndarray, shape (m,), bool
         False where a diagonal entry is not positive, the Cholesky
-        factorisation fails or the estimate exceeds ``GRAM_COND_MAX``.
-        Those systems must be solved another way.
+        factorisation fails or the condition estimate exceeds
+        ``GRAM_COND_MAX`` (see :func:`gram_factor`).  Those systems must
+        be solved another way.
     """
-    d = b.shape[1]
-    diag = np.einsum("mii->mi", G)
-    ok = np.all(diag > 0.0, axis=1)
-    scale = np.ones_like(diag)
-    scale[ok] = 1.0 / np.sqrt(diag[ok])
-    C = G * scale[:, :, None] * scale[:, None, :]
-    C[~ok] = np.eye(d)
-    L, factored = _cholesky(C)
-    ok &= factored
-    L[~ok] = np.eye(d)
-    L_inv = np.linalg.inv(L)
-    estimate = np.abs(C).sum(axis=2).max(axis=1) * np.einsum(
-        "mij,mij->m", L_inv, L_inv
-    )
-    ok &= estimate <= GRAM_COND_MAX
-    z = np.swapaxes(L_inv, 1, 2) @ (L_inv @ (scale * b)[:, :, None])
-    x = scale * z[:, :, 0]
-    x[~ok] = 0.0
-    return x, ok
+    factor = gram_factor(*_unit_diagonal(G))
+    return gram_apply(factor, b), factor.ok

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import is_zero_error, ols_batch
+from ._kernels import GramStats, is_zero_error, ols_batch
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 from .pareto import Frontier
 
@@ -67,11 +67,12 @@ def best_subset_table(
             f"(limit {EXHAUSTIVE_K_LIMIT})"
         )
 
+    stats = GramStats.of(data.X, data.y)
     table: list[EvaluatedModel] = []
     for d in range(d_max + 1):
         best = None
         for masks in _chunked_combinations(k, d, _CHUNK):
-            intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks)
+            intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=stats)
             for i in range(masks.shape[0]):
                 cand = (mses[i], masks[i].tobytes())
                 if best is None or cand < best[0]:
@@ -149,13 +150,14 @@ def _step(
     mask = current.mask
     size = int(mask.sum())
     sse = current.objective.error * n
-    sst = float(np.sum((data.y - data.y.mean()) ** 2))
     cols = np.flatnonzero(~mask if add else mask)
     if cols.size == 0:
         return None
+    stats = GramStats.of(data.X, data.y)
+    sst = float(stats.gram[-1, -1])
     cands = np.repeat(mask[None, :], cols.size, axis=0)
     cands[np.arange(cols.size), cols] = add
-    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, cands)
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, cands, stats=stats)
     if add:
         fstats = np.array([_partial_f(sse, e * n, n, size, sst) for e in mses])
         i = int(np.argmax(fstats))
@@ -199,15 +201,16 @@ def _max_rank_start(data: Dataset) -> np.ndarray:
     columns are admitted one by one, keeping each column that does not
     introduce rank deficiency.
     """
+    stats = GramStats.of(data.X, data.y)
     full = np.ones(data.k, dtype=np.bool_)
-    _, _, _, deficient = ols_batch(data.X, data.y, full[None, :])
+    _, _, _, deficient = ols_batch(data.X, data.y, full[None, :], stats=stats)
     if not deficient[0]:
         return full
     mask = np.zeros(data.k, dtype=np.bool_)
     for j in range(data.k):
         trial = mask.copy()
         trial[j] = True
-        _, _, _, deficient = ols_batch(data.X, data.y, trial[None, :])
+        _, _, _, deficient = ols_batch(data.X, data.y, trial[None, :], stats=stats)
         if not deficient[0]:
             mask = trial
     return mask

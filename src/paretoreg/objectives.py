@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import gram_solve, ols_batch
+from ._kernels import CHUNK_ELEMENTS, GramStats, gram_solve, ols_batch
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 
 IN_SAMPLE = "in_sample"
@@ -151,24 +151,20 @@ class ObjectiveEvaluator:
     should prefer :meth:`evaluate_many` to amortise the per-call overhead.
 
     Every mask's intercept and coefficients come from one full-data fit
-    by the SVD kernel :func:`ols_batch`; for the in-sample objective that
-    fit's MSE is the error.  For cross-validation the fold refits do not
-    use the SVD.  The Gram matrix G = A'A of the centred augmented matrix
-    A = [1, X - mean(X), y - mean(y)] is computed once (the intercept
-    absorbs the shift), and each fold's training Gram is G minus the
-    held-out rows' own Gram.  Fresh masks are grouped by size, and every
-    (fold, mask) system is solved in one batched call of
-    :func:`~paretoreg._kernels.gram_solve`.  The validation residuals are
-    computed on the held-out rows themselves.  A mask whose system fails
-    the fallback rule in any fold (a failed Cholesky factorisation or a
-    condition estimate above ``GRAM_COND_MAX``) is refitted fold by fold
-    by :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
+    by :func:`ols_batch`, against centred statistics (:class:`GramStats`)
+    built once per evaluator; for the in-sample objective that fit's MSE
+    is the error.  For cross-validation the Gram matrix G = A'A of the
+    centred augmented matrix A = [1, X - mean(X), y - mean(y)] is the
+    statistics' Gram bordered by the intercept row and column (n, and
+    zeros: the centred columns sum to zero), and each fold's training
+    Gram is G minus the held-out rows' own Gram.  Fresh masks are grouped
+    by size, and every (fold, mask) system is solved in one batched call
+    of :func:`~paretoreg._kernels.gram_solve`.  The validation residuals
+    are computed on the held-out rows themselves.  A mask whose system
+    fails the fallback rule in any fold (a failed Cholesky factorisation
+    or a condition estimate above ``GRAM_COND_MAX``) is refitted fold by
+    fold by :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
     """
-
-    # Upper bound on the elements of the temporaries of one chunk of
-    # same-size masks (the system stack, the coefficients and the
-    # held-out residuals); larger batches are solved chunk by chunk.
-    _CHUNK_ELEMENTS = 1 << 16
 
     def __init__(self, data: Dataset, spec: ObjectiveSpec | None = None) -> None:
         self.data = data
@@ -176,11 +172,14 @@ class ObjectiveEvaluator:
         self._cache: dict[bytes, EvaluatedModel] = {}
         self._queries = 0
         self._svd_fallbacks = 0
+        self._stats = GramStats.of(data.X, data.y)
         if self.spec.kind == CROSS_VALIDATION:
             folds = self.spec.partition.folds
-            X, y = data.X, data.y
-            A = np.column_stack((np.ones(data.n), X - X.mean(axis=0), y - y.mean()))
-            gram = A.T @ A
+            stats = self._stats
+            A = np.column_stack((np.ones(data.n), stats.xct.T, stats.yc))
+            gram = np.zeros((A.shape[1], A.shape[1]))
+            gram[0, 0] = data.n
+            gram[1:, 1:] = stats.gram
             self._fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
             # held-out rows per fold, zero-padded to a common length; a
             # zero row adds nothing to a fold's residual sum of squares
@@ -201,7 +200,7 @@ class ObjectiveEvaluator:
 
     @property
     def svd_fallbacks(self) -> int:
-        """Cross-validated masks whose fold refits went to the SVD kernel."""
+        """Cross-validated masks whose fold refits went to :func:`ols_batch`."""
         return self._svd_fallbacks
 
     def archive(self) -> list[EvaluatedModel]:
@@ -233,7 +232,7 @@ class ObjectiveEvaluator:
 
     def _evaluate_batch(self, masks: np.ndarray) -> list[EvaluatedModel]:
         data = self.data
-        intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks)
+        intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=self._stats)
         complexities = masks.sum(axis=1)
         if self.spec.kind == IN_SAMPLE:
             errors = mses
@@ -262,14 +261,14 @@ class ObjectiveEvaluator:
         for d in np.unique(complexities):
             rows = np.flatnonzero(complexities == d)
             per_mask = n_folds * ((int(d) + 1) ** 2 + width) + self._val[..., 0].size
-            step = max(1, self._CHUNK_ELEMENTS // per_mask)
+            step = max(1, CHUNK_ELEMENTS // per_mask)
             for lo in range(0, rows.size, step):
                 chunk = rows[lo : lo + step]
                 errors[chunk], solved[chunk] = self._cv_gram(masks[chunk], int(d))
         if not solved.all():
             fallback = np.flatnonzero(~solved)
             self._svd_fallbacks += fallback.size
-            errors[fallback] = self._cv_svd(masks[fallback])
+            errors[fallback] = self._cv_refit(masks[fallback])
         return errors
 
     def _cv_gram(self, masks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +297,8 @@ class ObjectiveEvaluator:
         fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / self._fold_sizes[:, None]
         return fold_mse.mean(axis=0), ok.reshape(m, n_folds).all(axis=1)
 
-    def _cv_svd(self, masks: np.ndarray) -> np.ndarray:
-        """CV errors by one SVD refit per fold and mask."""
+    def _cv_refit(self, masks: np.ndarray) -> np.ndarray:
+        """CV errors by one :func:`ols_batch` refit per fold."""
         X, y = self.data.X, self.data.y
         part = self.spec.partition
         errors = np.zeros(masks.shape[0], dtype=np.float64)

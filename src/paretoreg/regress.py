@@ -30,10 +30,12 @@ class FitResult:
 def fit_ols(data: Dataset, mask) -> FitResult:
     """Fit intercept + selected columns by least squares.
 
-    The solve is SVD-based: singular values of the intercept-augmented
-    submatrix below ``max(n, k+1) * eps * smax`` are treated as zero and
-    the minimum-norm solution is taken, which keeps collinear expansions
-    (for example a column and its own log) from blowing up.
+    The fit comes from the centred normal equations when they pass the
+    kernel's fallback rule.  Otherwise it is SVD-based: singular values of
+    the intercept-augmented submatrix below ``max(n, k+1) * eps * smax``
+    are treated as zero and the minimum-norm solution is taken, which
+    keeps collinear expansions (for example a column and its own log)
+    from blowing up.
 
     Parameters
     ----------

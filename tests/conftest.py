@@ -27,3 +27,19 @@ def lstsq_fit(X, y, mask):
     beta, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ beta
     return beta[0], beta[1:], float(resid @ resid) / len(y), rank
+
+
+def lstsq_cv_error(X, y, mask, folds):
+    """Reference k-fold CV error: one lstsq refit per fold.
+
+    The unweighted mean over ``folds`` (arrays of held-out row indices)
+    of each fold's validation MSE; independent of the package kernels.
+    """
+    total = 0.0
+    for val in folds:
+        train = np.ones(len(y), dtype=bool)
+        train[val] = False
+        b0, b, _, _ = lstsq_fit(X[train], y[train], mask)
+        resid = y[val] - (b0 + X[val][:, np.asarray(mask, dtype=bool)] @ b)
+        total += float(resid @ resid) / len(val)
+    return total / len(folds)

@@ -127,15 +127,15 @@ class TestCriteriaScan:
         assert scan.aic_argmin == 0  # only the finite row competes
 
     def test_rounding_level_errors_have_no_criteria(self):
-        # p > n: complexities 7 and 8 interpolate the 8 rows, and their
-        # errors (about 1e-31) are rounding, not fits
+        # p > n: complexity 7 interpolates the 8 rows; its residual is
+        # rounding, which the kernel reports as an error of exactly 0
         gen = np.random.default_rng(0)
         X = gen.standard_normal((8, 12))
         y = gen.standard_normal(8)
         data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(12)))
         frontier = run_moga(data, GAConfig(iterations=300, seed=0)).frontier
-        assert frontier.complexities == tuple(range(9))
-        assert max(frontier.at_complexity(c).objective.error for c in (7, 8)) < 1e-29
+        assert frontier.complexities == tuple(range(8))
+        assert frontier.at_complexity(7).objective.error == 0.0
         scan = criteria_scan(frontier, data.n)
         for row in scan.rows:
             assert (row.aic is None) == (row.complexity >= 7)

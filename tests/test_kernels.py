@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from paretoreg._kernels import GRAM_COND_MAX, active_backend, gram_solve, ols_batch
+from paretoreg._kernels import (
+    CHUNK_ELEMENTS,
+    GRAM_COND_MAX,
+    GramStats,
+    active_backend,
+    gram_solve,
+    ols_batch,
+)
+from paretoreg.simdata import expand_features, gen_additive, gen_correlated
 
 from conftest import lstsq_fit
 
@@ -50,6 +58,83 @@ class TestAgainstLstsq:
         assert mse == pytest.approx(rmse, rel=1e-12)
 
 
+def centred_lstsq_mse(X, y, mask):
+    """Reference MSE from lstsq on the centred columns (no intercept column)."""
+    Xc = (X - X.mean(axis=0))[:, mask]
+    yc = y - y.mean()
+    beta = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+    resid = yc - Xc @ beta
+    return float(resid @ resid) / len(y)
+
+
+def shifted_and_scaled(gen):
+    """Well-conditioned columns behind a 1e8 shift and a 1e-6 scale."""
+    X, y = random_problem(21, n=300, k=12)
+    X[:, 0] += 1e8
+    X[:, 1] = 1e-6 * gen.standard_normal(300) + 3.0
+    return X, y
+
+
+def accuracy_cases():
+    return {
+        "example1": expand_features(gen_additive(300, seed=4)[0]),
+        "correlated": gen_correlated(500, p=100)[0],
+    }
+
+
+class TestGramPathAccuracy:
+    @pytest.mark.parametrize("case", ["example1", "correlated", "shift_scale"])
+    def test_matches_reference(self, case):
+        gen = np.random.default_rng(0)
+        if case == "shift_scale":
+            X, y = shifted_and_scaled(gen)
+            masks = gen.random((200, X.shape[1])) < 0.5
+            masks[:, :2] |= gen.random((200, 2)) < 0.5
+            _, _, mses, deficient = ols_batch(X, y, masks)
+            assert not deficient.any()
+            for i in range(masks.shape[0]):
+                want = centred_lstsq_mse(X, y, masks[i])
+                assert mses[i] == pytest.approx(want, rel=1e-10, abs=0)
+            return
+        data = accuracy_cases()[case]
+        X, y = data.X, data.y
+        masks = gen.random((400, X.shape[1])) < 0.5
+        intercepts, coefs, mses, _ = ols_batch(X, y, masks)
+        for i in range(masks.shape[0]):
+            b0, b, mse, _ = lstsq_fit(X, y, masks[i])
+            want = np.concatenate(([b0], b))
+            got = np.concatenate(([intercepts[i]], coefs[i][masks[i]]))
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert mses[i] == pytest.approx(mse, rel=1e-12, abs=1e-12)
+
+
+class TestBatchIndependence:
+    def test_each_row_equals_its_lone_fit(self):
+        gen = np.random.default_rng(4)
+        n, k = 200, 12
+        X = gen.standard_normal((n, k))
+        X[:, 3] = X[:, 1]
+        X[:, 7] = 2.5
+        y = X[:, 0] - X[:, 5] + gen.standard_normal(n)
+        masks = gen.random((300, k)) < gen.random((300, 1))
+        # one size group larger than a chunk
+        size4 = np.zeros((120, k), dtype=bool)
+        for row in size4:
+            row[gen.choice(k, 4, replace=False)] = True
+        masks = np.concatenate((masks, size4))[gen.permutation(420)]
+        assert 120 > CHUNK_ELEMENTS // (4 * (4 + n) + n)
+        batch = ols_batch(X, y, masks)
+        deficient = batch[3]
+        assert deficient.any() and not deficient.all()
+        with_stats = ols_batch(X, y, masks, stats=GramStats.of(X, y))
+        for a, b in zip(batch, with_stats):
+            np.testing.assert_array_equal(a, b)
+        for i in range(masks.shape[0]):
+            alone = ols_batch(X, y, masks[i : i + 1])
+            for a, b in zip(batch, alone):
+                np.testing.assert_array_equal(a[i : i + 1], b)
+
+
 class TestRankDeficiency:
     def test_duplicate_column_flagged_minimum_norm(self):
         gen = np.random.default_rng(5)
@@ -73,6 +158,21 @@ class TestRankDeficiency:
         assert deficient
         # underdetermined system interpolates
         assert mse == pytest.approx(0.0, abs=1e-18)
+
+    def test_interpolating_fit_reports_exact_zero(self):
+        # both masks interpolate the 8 rows, so their residuals are
+        # rounding and fall under the SSE zero floor; the first is solved
+        # from the normal equations, the second (more coefficients than
+        # rows) by the SVD
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((8, 12))
+        y = gen.standard_normal(8)
+        masks = np.zeros((2, 12), dtype=bool)
+        masks[0, :7] = True
+        masks[1, 2:] = True
+        _, _, mses, deficient = ols_batch(X, y, masks)
+        assert deficient.tolist() == [False, True]
+        assert mses.tolist() == [0.0, 0.0]
 
     def test_constant_column_flagged(self):
         # a constant predictor is collinear with the intercept

@@ -1,10 +1,14 @@
-"""Print one sha256 over the search and baseline results on fixed inputs.
+"""Print two sha256 digests over the search and baseline results on fixed inputs.
 
     PYTHONPATH=src python3 tools/frontier_digest.py
 
-Run it at two commits and compare the lines: equal digests mean that
-every reported model is bit-identical.  The digest covers the mask,
-``error.hex()``, ``intercept.hex()`` and the coefficient bytes of:
+Run it at two commits and compare the lines.  The first line covers the
+mask, ``error.hex()``, ``intercept.hex()`` and the coefficient bytes of
+every reported model, so equal first lines mean bit-identical results.
+The second line covers only the masks and complexities, so equal second
+lines mean that the search took the same path and every baseline chose
+the same models, even when a numerical change moved the last bits of
+the fitted values.  Both digests cover:
 
 - the frontier and the final population of ``run_moga`` on inputs shaped
   like those of the benchmark's search workloads (``gen_correlated`` at
@@ -56,15 +60,20 @@ def results():
 
 
 def main() -> None:
-    h = hashlib.sha256()
+    full = hashlib.sha256()
+    masks = hashlib.sha256()
     for models in results():
         for m in models:
-            h.update(m.mask_key())
-            h.update(m.objective.error.hex().encode())
-            h.update(m.intercept.hex().encode())
-            h.update(m.coefficients.tobytes())
-        h.update(b"|")
-    print(h.hexdigest())
+            full.update(m.mask_key())
+            full.update(m.objective.error.hex().encode())
+            full.update(m.intercept.hex().encode())
+            full.update(m.coefficients.tobytes())
+            masks.update(m.mask_key())
+            masks.update(str(m.objective.complexity).encode())
+        full.update(b"|")
+        masks.update(b"|")
+    print(full.hexdigest())
+    print(masks.hexdigest())
 
 
 if __name__ == "__main__":
