@@ -102,9 +102,8 @@ class TestGramPathAccuracy:
         intercepts, coefs, mses, _ = ols_batch(X, y, masks)
         for i in range(masks.shape[0]):
             b0, b, mse, _ = lstsq_fit(X, y, masks[i])
-            want = np.concatenate(([b0], b))
-            got = np.concatenate(([intercepts[i]], coefs[i][masks[i]]))
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert intercepts[i] == pytest.approx(b0, abs=1e-10)
+            np.testing.assert_allclose(coefs[i][masks[i]], b, atol=1e-10)
             assert mses[i] == pytest.approx(mse, rel=1e-12, abs=1e-12)
 
 
