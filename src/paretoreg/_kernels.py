@@ -93,6 +93,15 @@ class GramStats(NamedTuple):
         x_mean = X.mean(axis=0)
         y_mean = float(y.mean())
         A = np.column_stack((X - x_mean, y - y_mean))
+        # A constant column whose mean is inexact centres to the same
+        # rounding error in every row, which unit scaling would blow up to
+        # a unit column.  The mean of n equal values is off by at most
+        # about n/4 eps relative, so a centred norm within n eps of the
+        # raw norm is set to exactly zero: the column has no spread, and
+        # every mask holding it goes to the SVD.
+        n = X.shape[0]
+        flat = (A[:, :-1] ** 2).sum(axis=0) <= (n * _EPS) ** 2 * (X**2).sum(axis=0)
+        A[:, :-1][:, flat] = 0.0
         xct = np.ascontiguousarray(A[:, :-1].T)
         gram = A.T @ A
         unit, scale = _unit_diagonal(gram[None, :-1, :-1])

@@ -110,8 +110,8 @@ class Trajectory:
         return tuple(m.objective.complexity for m in self.steps)
 
 
-def _fit_one(data: Dataset, mask: np.ndarray) -> EvaluatedModel:
-    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, mask[None, :])
+def _fit_one(data: Dataset, stats: GramStats, mask: np.ndarray) -> EvaluatedModel:
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, mask[None, :], stats=stats)
     return _model_from_fit(mask, intercepts[0], coefs[0], mses[0])
 
 
@@ -135,7 +135,11 @@ def _partial_f(
 
 
 def _step(
-    data: Dataset, current: EvaluatedModel, add: bool, threshold: float
+    data: Dataset,
+    stats: GramStats,
+    current: EvaluatedModel,
+    add: bool,
+    threshold: float,
 ) -> EvaluatedModel | None:
     """One partial-F add or drop step away from ``current``.
 
@@ -144,7 +148,8 @@ def _step(
     selected column is tried for removal and the smallest partial-F is
     accepted when it is below ``threshold``.  Ties go to the lowest
     column index.  Returns the accepted model, or None when no candidate
-    exists or none passes.
+    exists or none passes.  ``stats`` is ``GramStats.of(data.X, data.y)``,
+    built once per trajectory.
     """
     n = data.n
     mask = current.mask
@@ -153,7 +158,6 @@ def _step(
     cols = np.flatnonzero(~mask if add else mask)
     if cols.size == 0:
         return None
-    stats = GramStats.of(data.X, data.y)
     sst = float(stats.gram[-1, -1])
     cands = np.repeat(mask[None, :], cols.size, axis=0)
     cands[np.arange(cols.size), cols] = add
@@ -183,10 +187,11 @@ def forward_selection(
     if enter_threshold < 0:
         raise ValueError(f"enter_threshold must be >= 0, got {enter_threshold}")
     limit = max_steps if max_steps is not None else data.k
-    current = _fit_one(data, np.zeros(data.k, dtype=np.bool_))
+    stats = GramStats.of(data.X, data.y)
+    current = _fit_one(data, stats, np.zeros(data.k, dtype=np.bool_))
     steps: list[EvaluatedModel] = []
     while len(steps) < limit:
-        accepted = _step(data, current, True, enter_threshold)
+        accepted = _step(data, stats, current, True, enter_threshold)
         if accepted is None:
             break
         current = accepted
@@ -194,14 +199,13 @@ def forward_selection(
     return Trajectory(method="forward", steps=tuple(steps), final=current)
 
 
-def _max_rank_start(data: Dataset) -> np.ndarray:
+def _max_rank_start(data: Dataset, stats: GramStats) -> np.ndarray:
     """Greedy full-rank starting mask for backward elimination.
 
     The full mask is used when it is not rank deficient; otherwise
     columns are admitted one by one, keeping each column that does not
     introduce rank deficiency.
     """
-    stats = GramStats.of(data.X, data.y)
     full = np.ones(data.k, dtype=np.bool_)
     _, _, _, deficient = ols_batch(data.X, data.y, full[None, :], stats=stats)
     if not deficient[0]:
@@ -229,10 +233,11 @@ def backward_elimination(
     if exit_threshold < 0:
         raise ValueError(f"exit_threshold must be >= 0, got {exit_threshold}")
     limit = max_steps if max_steps is not None else data.k
-    current = _fit_one(data, _max_rank_start(data))
+    stats = GramStats.of(data.X, data.y)
+    current = _fit_one(data, stats, _max_rank_start(data, stats))
     steps: list[EvaluatedModel] = []
     while len(steps) < limit:
-        accepted = _step(data, current, False, exit_threshold)
+        accepted = _step(data, stats, current, False, exit_threshold)
         if accepted is None:
             break
         current = accepted
@@ -258,17 +263,18 @@ def stepwise_selection(
             f"enter_threshold {enter_threshold}"
         )
     limit = max_steps if max_steps is not None else 4 * data.k
-    current = _fit_one(data, np.zeros(data.k, dtype=np.bool_))
+    stats = GramStats.of(data.X, data.y)
+    current = _fit_one(data, stats, np.zeros(data.k, dtype=np.bool_))
     steps: list[EvaluatedModel] = []
     while len(steps) < limit:
-        accepted = _step(data, current, True, enter_threshold)
+        accepted = _step(data, stats, current, True, enter_threshold)
         if accepted is None:
             break
         current = accepted
         steps.append(current)
         # backward sweep until nothing else leaves
         while len(steps) < limit:
-            accepted = _step(data, current, False, exit_threshold)
+            accepted = _step(data, stats, current, False, exit_threshold)
             if accepted is None:
                 break
             current = accepted

@@ -181,6 +181,24 @@ class TestRankDeficiency:
         _, _, _, deficient = fit_one(X, y, np.array([True, False]))
         assert deficient
 
+    @pytest.mark.parametrize("n, value", [(37, 3.7), (3, 0.1), (500, -2.9)])
+    def test_inexact_constant_column_minimum_norm(self, n, value):
+        # the mean of the constant column is not exact in floating point,
+        # so its centred values are rounding; it must still be flagged
+        # and get the minimum-norm split with the intercept
+        gen = np.random.default_rng(8)
+        X = np.column_stack([np.full(n, value), gen.standard_normal(n)])
+        y = 2.0 + X[:, 1] + gen.standard_normal(n)
+        assert X.mean(axis=0)[0] != value
+        for mask in ([True, False], [True, True]):
+            cols = np.flatnonzero(mask)
+            b0, coefs, mse, deficient = fit_one(X, y, np.array(mask))
+            assert deficient
+            A = np.column_stack((np.ones(n), X[:, cols]))
+            ref = np.linalg.lstsq(A, y, rcond=None)[0]
+            np.testing.assert_allclose(np.r_[b0, coefs], ref, rtol=1e-10, atol=1e-12)
+            assert mse == pytest.approx(np.mean((y - A @ ref) ** 2), rel=1e-12)
+
 
 class TestDeterminismAndBackends:
     def test_bit_identical_repeat(self):
