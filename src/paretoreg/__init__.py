@@ -30,8 +30,6 @@ from .objectives import (
     ObjectiveSpec,
     aic,
     bic,
-    cv_objective,
-    in_sample_objective,
     make_partition,
 )
 from .pareto import Frontier, dominates, nondominated
@@ -92,8 +90,6 @@ __all__ = [
     "make_partition",
     "ObjectiveSpec",
     "ObjectiveEvaluator",
-    "in_sample_objective",
-    "cv_objective",
     "aic",
     "bic",
     "dominates",

@@ -7,8 +7,9 @@ intercept is absorbed by centring, and each mask's coefficients solve its
 block of the centred normal equations.  Masks are grouped by size and the
 systems of a group are solved together by :func:`gram_factor` and
 :func:`gram_apply`, followed by one step of iterative refinement against
-the residual on the n rows.  :func:`gram_solve` factors and solves stacks
-of unscaled systems the same way (the cross-validation fold downdates).
+the residual on the n rows.  The cross-validation fold downdates scale
+their stacked systems by :func:`_unit_diagonal` and solve them with the
+same two functions.
 
 Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 20), so a
@@ -92,16 +93,18 @@ class GramStats(NamedTuple):
         y = np.asarray(y, dtype=np.float64)
         x_mean = X.mean(axis=0)
         y_mean = float(y.mean())
-        A = np.column_stack((X - x_mean, y - y_mean))
+        raw = np.column_stack((X, y))
+        A = raw - np.append(x_mean, y_mean)
         # A constant column whose mean is inexact centres to the same
         # rounding error in every row, which unit scaling would blow up to
         # a unit column.  The mean of n equal values is off by at most
         # about n/4 eps relative, so a centred norm within n eps of the
-        # raw norm is set to exactly zero: the column has no spread, and
-        # every mask holding it goes to the SVD.
+        # raw norm is set to exactly zero: the column has no spread.  A
+        # predictor so zeroed sends every mask holding it to the SVD; a
+        # response so zeroed gives every Gram-path fit an error of 0.
         n = X.shape[0]
-        flat = (A[:, :-1] ** 2).sum(axis=0) <= (n * _EPS) ** 2 * (X**2).sum(axis=0)
-        A[:, :-1][:, flat] = 0.0
+        flat = (A**2).sum(axis=0) <= (n * _EPS) ** 2 * (raw**2).sum(axis=0)
+        A[:, flat] = 0.0
         xct = np.ascontiguousarray(A[:, :-1].T)
         gram = A.T @ A
         unit, scale = _unit_diagonal(gram[None, :-1, :-1])
@@ -289,25 +292,3 @@ def gram_apply(factor: GramFactor, b):
     """Solve ``G x = b`` for each system of ``factor``; zero where not ``ok``."""
     m_inv = factor.m_inv
     return (np.swapaxes(m_inv, 1, 2) @ (m_inv @ b[:, :, None]))[:, :, 0]
-
-
-def gram_solve(G, b):
-    """Solve stacked symmetric systems ``G x = b`` that pass the fallback rule.
-
-    Parameters
-    ----------
-    G : ndarray, shape (m, d, d)
-    b : ndarray, shape (m, d)
-
-    Returns
-    -------
-    x : ndarray, shape (m, d)
-        Solutions; zero where ``ok`` is False.
-    ok : ndarray, shape (m,), bool
-        False where a diagonal entry is not positive, the Cholesky
-        factorisation fails or the condition estimate exceeds
-        ``GRAM_COND_MAX`` (see :func:`gram_factor`).  Those systems must
-        be solved another way.
-    """
-    factor = gram_factor(*_unit_diagonal(G))
-    return gram_apply(factor, b), factor.ok

@@ -90,45 +90,31 @@ class CriteriaScan:
     bic_argmin: int | None
 
 
-def criteria_scan(
-    frontier: Frontier,
-    n: int,
-    count_intercept: bool = True,
-    alt_form: bool = False,
-) -> CriteriaScan:
+def criteria_scan(frontier: Frontier, n: int) -> CriteriaScan:
     """Evaluate AIC and BIC at every frontier point.
 
-    ``count_intercept`` counts the intercept as a fitted coefficient in
-    the penalty term (the usual reporting convention); the error term
-    uses each model's frontier error as is.  Models whose error is zero
-    up to rounding get ``None`` entries since the criteria are undefined
-    there.  The zero test is the kernel's SSE zero floor, with the
-    frontier's largest error standing in for the intercept-only error.
+    The penalty term counts the intercept as a fitted coefficient (the
+    usual reporting convention); the error term uses each model's
+    frontier error as is.  Models whose error is zero up to rounding get
+    ``None`` entries since the criteria are undefined there.  The zero
+    test is the kernel's SSE zero floor, with the frontier's largest
+    error standing in for the intercept-only error.
     """
     if len(frontier) == 0:
         raise ValueError("cannot scan an empty frontier")
     reference = max(m.objective.error for m in frontier)
     rows = []
     for m in frontier:
-        k_eff = m.objective.complexity + (1 if count_intercept else 0)
-        if not is_zero_error(m.objective.error, n, reference):
-            rows.append(
-                CriteriaRow(
-                    complexity=m.objective.complexity,
-                    mse=m.objective.error,
-                    aic=_aic(m.objective.error, k_eff, n, alt_form),
-                    bic=_bic(m.objective.error, k_eff, n, alt_form),
-                )
+        c, mse = m.objective.complexity, m.objective.error
+        zero = is_zero_error(mse, n, reference)
+        rows.append(
+            CriteriaRow(
+                complexity=c,
+                mse=mse,
+                aic=None if zero else _aic(mse, c + 1, n),
+                bic=None if zero else _bic(mse, c + 1, n),
             )
-        else:
-            rows.append(
-                CriteriaRow(
-                    complexity=m.objective.complexity,
-                    mse=m.objective.error,
-                    aic=None,
-                    bic=None,
-                )
-            )
+        )
 
     def argmin(values: list[float | None]) -> int | None:
         finite = [(v, rows[i].complexity) for i, v in enumerate(values) if v is not None]

@@ -104,15 +104,17 @@ def _write_frontier(out, frontier, data, config_doc, stats_doc) -> str:
     )
     path = os.path.join(out, "frontier.json")
     write_frontier_json(path, doc)
-    with open(os.path.join(out, "frontier.csv"), "w") as fh:
-        fh.write(frontier_csv(frontier, data.names))
+    _write_text(os.path.join(out, "frontier.csv"), frontier_csv(frontier, data.names))
     return path
 
 
-def _write_json(path: str, doc: dict) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _load(args: argparse.Namespace):
@@ -184,8 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     frontier_path = _write_frontier(out, result.frontier, data, config_doc, stats_doc)
     _write_json(os.path.join(out, "run.json"), {"config": config_doc, "stats": stats_doc})
     if result.snapshots:
-        with open(os.path.join(out, "snapshots.csv"), "w") as fh:
-            fh.write(snapshots_csv(result.snapshots))
+        _write_text(os.path.join(out, "snapshots.csv"), snapshots_csv(result.snapshots))
     print(
         f"frontier: {len(result.frontier)} models, complexities "
         f"{result.frontier.complexities[0]}..{result.frontier.complexities[-1]}, "
@@ -224,8 +225,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         )
     path = os.path.join(out, "trajectory.json")
     _write_json(path, trajectory_to_dict(traj, data.names))
-    with open(os.path.join(out, "trajectory.csv"), "w") as fh:
-        fh.write(trajectory_csv(traj, data.names))
+    _write_text(os.path.join(out, "trajectory.csv"), trajectory_csv(traj, data.names))
     print(
         f"{args.method}: {len(traj.steps)} steps, final model has "
         f"{traj.final.objective.complexity} variables "
@@ -266,8 +266,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"{int(row.complexity == scan.bic_argmin)}"
             )
         path = os.path.join(out, "criteria.csv")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         print(f"AIC argmin complexity: {scan.aic_argmin}")
         print(f"BIC argmin complexity: {scan.bic_argmin}")
         print(f"wrote {path}")
@@ -302,10 +301,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         plot = os_plot(primary.frontier, snapshots, log_y=args.log_y)
         csv_path = os.path.join(out, "os_plot.csv")
         svg_path = os.path.join(out, "os_plot.svg")
-        with open(csv_path, "w") as fh:
-            fh.write(plot.csv)
-        with open(svg_path, "w") as fh:
-            fh.write(plot.svg)
+        _write_text(csv_path, plot.csv)
+        _write_text(svg_path, plot.svg)
         print(f"wrote {csv_path} and {svg_path}")
         return 0
 
@@ -314,10 +311,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         plot = hs_plot(primary.frontier, primary.names, complexity_range=rng)
         txt_path = os.path.join(out, "hs_plot.txt")
         svg_path = os.path.join(out, "hs_plot.svg")
-        with open(txt_path, "w") as fh:
-            fh.write(plot.text)
-        with open(svg_path, "w") as fh:
-            fh.write(plot.svg)
+        _write_text(txt_path, plot.text)
+        _write_text(svg_path, plot.svg)
         print(plot.text, end="")
         print(f"wrote {txt_path} and {svg_path}")
         return 0

@@ -15,7 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import CHUNK_ELEMENTS, GramStats, gram_solve, ols_batch
+from ._kernels import (
+    CHUNK_ELEMENTS,
+    GramStats,
+    _unit_diagonal,
+    gram_apply,
+    gram_factor,
+    ols_batch,
+)
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 
 IN_SAMPLE = "in_sample"
@@ -111,38 +118,6 @@ class ObjectiveSpec:
         return replace(self, partition=make_partition(n, self.folds, self.seed))
 
 
-def in_sample_objective(data: Dataset, mask) -> ObjectiveVector:
-    """Objective pair (selected count, full-data mean squared error)."""
-    mask = data.validate_mask(mask)
-    _, _, mses, _ = ols_batch(data.X, data.y, mask[None, :])
-    return ObjectiveVector(complexity=int(mask.sum()), error=float(mses[0]))
-
-
-def cv_objective(data: Dataset, mask, spec: ObjectiveSpec) -> ObjectiveVector:
-    """Objective pair (selected count, k-fold cross-validated error).
-
-    For each fold the model is refitted on the remaining rows and scored
-    on the held-out fold; the error is the unweighted mean of the fold
-    validation errors.  The same partition must be used for every mask
-    in a run for the errors to be comparable.
-    """
-    if spec.kind != CROSS_VALIDATION:
-        raise ValueError(f"spec kind must be {CROSS_VALIDATION!r}, got {spec.kind!r}")
-    spec = spec.resolve(data.n)
-    mask = data.validate_mask(mask)
-    part = spec.partition
-    total = 0.0
-    for fold in range(part.n_folds):
-        train = part.train_indices(fold)
-        val = part.folds[fold]
-        intercepts, coefs, _, _ = ols_batch(data.X[train], data.y[train], mask[None, :])
-        resid = data.y[val] - (intercepts[0] + data.X[val] @ coefs[0])
-        total += float(resid @ resid) / val.size
-    return ObjectiveVector(
-        complexity=int(mask.sum()), error=total / part.n_folds
-    )
-
-
 class ObjectiveEvaluator:
     """Evaluates masks against one dataset and objective, with memoisation.
 
@@ -158,12 +133,17 @@ class ObjectiveEvaluator:
     statistics' Gram bordered by the intercept row and column (n, and
     zeros: the centred columns sum to zero), and each fold's training
     Gram is G minus the held-out rows' own Gram.  Fresh masks are grouped
-    by size, and every (fold, mask) system is solved in one batched call
-    of :func:`~paretoreg._kernels.gram_solve`.  The validation residuals
-    are computed on the held-out rows themselves.  A mask whose system
-    fails the fallback rule in any fold (a failed Cholesky factorisation
-    or a condition estimate above ``GRAM_COND_MAX``) is refitted fold by
-    fold by :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
+    by size, and every (fold, mask) system is scaled to unit diagonal,
+    factored by one batched call of :func:`~paretoreg._kernels.gram_factor`
+    and solved by :func:`~paretoreg._kernels.gram_apply`.  The validation
+    residuals are computed on the held-out rows themselves.  A mask whose
+    system fails the fallback rule in any fold (a diagonal entry that is
+    not positive, a failed Cholesky factorisation or a condition estimate
+    above ``GRAM_COND_MAX``) is refitted fold by fold by :func:`ols_batch`;
+    :attr:`svd_fallbacks` counts those masks.
+
+    This class is the one place where the package computes a model's
+    error objective.
     """
 
     def __init__(self, data: Dataset, spec: ObjectiveSpec | None = None) -> None:
@@ -286,16 +266,15 @@ class ObjectiveEvaluator:
         folds = np.arange(n_folds)[None, :, None]
         system = gram[folds[..., None], idx[:, None, :, None], idx[:, None, None, :]]
         rhs = gram[folds, idx[:, None, :], width - 1]
-        beta, ok = gram_solve(
-            system.reshape(m * n_folds, d + 1, d + 1), rhs.reshape(m * n_folds, d + 1)
-        )
+        factor = gram_factor(*_unit_diagonal(system.reshape(m * n_folds, d + 1, d + 1)))
+        beta = gram_apply(factor, rhs.reshape(m * n_folds, d + 1))
         # w = (beta, -1) on A's columns, so A_v w is minus the residual
         w = np.zeros((n_folds, m, width))
         w[:, :, width - 1] = -1.0
         w[:, np.arange(m)[:, None], idx] = beta.reshape(m, n_folds, d + 1).swapaxes(0, 1)
         resid = self._val @ np.swapaxes(w, 1, 2)
         fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / self._fold_sizes[:, None]
-        return fold_mse.mean(axis=0), ok.reshape(m, n_folds).all(axis=1)
+        return fold_mse.mean(axis=0), factor.ok.reshape(m, n_folds).all(axis=1)
 
     def _cv_refit(self, masks: np.ndarray) -> np.ndarray:
         """CV errors by one :func:`ols_batch` refit per fold."""
@@ -310,29 +289,21 @@ class ObjectiveEvaluator:
         return errors / part.n_folds
 
 
-def aic(mse: float, k: int, n: int, alt_form: bool = False) -> float:
+def aic(mse: float, k: int, n: int) -> float:
     """Akaike information criterion per observation, up to constants.
 
-    Default is ``2k/n + ln(mse)``; lower is better.  ``alt_form`` flips
-    the sign of the log term (``2k/n - 2 ln(mse)``), a variant that
-    appears in some published summaries but whose minimiser does not
-    track model fit, so it is not the default.
+    ``2k/n + ln(mse)``; lower is better.
     """
     _check_ic_args(mse, k, n)
-    if alt_form:
-        return 2.0 * k / n - 2.0 * math.log(mse)
     return 2.0 * k / n + math.log(mse)
 
 
-def bic(mse: float, k: int, n: int, alt_form: bool = False) -> float:
+def bic(mse: float, k: int, n: int) -> float:
     """Bayesian information criterion per observation, up to constants.
 
-    Default is ``k ln(n)/n + ln(mse)``; the ``alt_form`` variant is
-    ``k ln(n)/n - 2 ln(mse)`` (see :func:`aic`).
+    ``k ln(n)/n + ln(mse)``; lower is better.
     """
     _check_ic_args(mse, k, n)
-    if alt_form:
-        return k * math.log(n) / n - 2.0 * math.log(mse)
     return k * math.log(n) / n + math.log(mse)
 
 

@@ -24,11 +24,7 @@ from paretoreg.analysis import criteria_scan, hs_plot, knee_point
 from paretoreg.baselines import best_subset_table, stepwise_selection
 from paretoreg.data import EvaluatedModel, ObjectiveVector, load_csv
 from paretoreg.moga import GAConfig, environmental_selection, mutate, run_moga
-from paretoreg.objectives import (
-    CROSS_VALIDATION,
-    ObjectiveSpec,
-    in_sample_objective,
-)
+from paretoreg.objectives import CROSS_VALIDATION, ObjectiveSpec, make_partition
 from paretoreg.pareto import dominates, nondominated
 from paretoreg.regress import fit_ols
 from paretoreg.simdata import (
@@ -37,6 +33,8 @@ from paretoreg.simdata import (
     gen_correlated,
     truncate_predictors,
 )
+
+from conftest import lstsq_cv_error, lstsq_fit
 
 MSE_TOL = 1e-10
 
@@ -408,7 +406,7 @@ def test_criterion_8_generalization_variant(capsys):
             cv_m = cv_res.frontier.at_complexity(m.objective.complexity)
             if cv_m is None:
                 continue
-            cv_in_sample = in_sample_objective(data, cv_m.mask).error
+            cv_in_sample = lstsq_fit(data.X, data.y, cv_m.mask)[2]
             if m.objective.error > cv_in_sample + MSE_TOL:
                 clause2_violations += 1
 
@@ -431,11 +429,11 @@ def test_criterion_8_generalization_variant(capsys):
 
 
 def run_cv_error(data, mask, seed):
-    """Cross-validated error of one mask under the run's fold partition."""
-    from paretoreg.objectives import cv_objective
+    """Cross-validated error of one mask under the run's fold partition.
 
-    spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=10, seed=seed)
-    return cv_objective(data, mask, spec).error
+    Refitted fold by fold with lstsq, independently of the package kernels.
+    """
+    return lstsq_cv_error(data.X, data.y, mask, make_partition(data.n, 10, seed).folds)
 
 
 def test_criterion_9_stepwise_dominated(

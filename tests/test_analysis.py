@@ -108,18 +108,6 @@ class TestCriteriaScan:
         # the heavier penalty stops earlier on this frontier
         assert scan.bic_argmin < scan.aic_argmin
 
-    def test_count_intercept_toggle(self):
-        scan_with = criteria_scan(frontier_of([(0, 1.0), (1, 0.5), (2, 0.4)]), n=50)
-        scan_without = criteria_scan(
-            frontier_of([(0, 1.0), (1, 0.5), (2, 0.4)]), n=50, count_intercept=False
-        )
-        for a, b in zip(scan_with.rows, scan_without.rows):
-            assert abs((a.aic - b.aic) - 2 / 50) < 1e-12
-
-    def test_alt_form_rows(self):
-        scan = criteria_scan(frontier_of([(0, 2.0), (1, 0.5)]), n=10, alt_form=True)
-        assert abs(scan.rows[0].aic - (2 / 10 - 2 * math.log(2.0))) < 1e-12
-
     def test_zero_error_rows_have_no_criteria(self):
         f = frontier_of([(0, 1.0), (1, 0.0)])
         scan = criteria_scan(f, n=30)

@@ -5,8 +5,10 @@ from paretoreg._kernels import (
     CHUNK_ELEMENTS,
     GRAM_COND_MAX,
     GramStats,
+    _unit_diagonal,
     active_backend,
-    gram_solve,
+    gram_apply,
+    gram_factor,
     ols_batch,
 )
 from paretoreg.simdata import expand_features, gen_additive, gen_correlated
@@ -105,6 +107,27 @@ class TestGramPathAccuracy:
             assert intercepts[i] == pytest.approx(b0, abs=1e-10)
             np.testing.assert_allclose(coefs[i][masks[i]], b, atol=1e-10)
             assert mses[i] == pytest.approx(mse, rel=1e-12, abs=1e-12)
+
+
+class TestScaledResponse:
+    """Scaling y by s scales every MSE by s^2 and every coefficient by s."""
+
+    @pytest.mark.parametrize("case", ["example1", "correlated"])
+    @pytest.mark.parametrize("s", [1e-100, 1e100])
+    def test_fits_scale_with_the_response(self, case, s):
+        if case == "example1":
+            data = expand_features(gen_additive(300, seed=4)[0])
+        else:
+            data = gen_correlated(200, p=12, seed=3)[0]
+        gen = np.random.default_rng(10)
+        masks = gen.random((300, data.k)) < gen.random((300, 1))
+        b0, coefs, mses, deficient = ols_batch(data.X, data.y, masks)
+        b0_s, coefs_s, mses_s, deficient_s = ols_batch(data.X, s * data.y, masks)
+        np.testing.assert_allclose(mses_s, s * s * mses, rtol=1e-12, atol=0)
+        want = s * np.column_stack((b0, coefs))
+        got = np.column_stack((b0_s, coefs_s))
+        assert (np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True)).all()
+        assert np.array_equal(deficient_s, deficient)
 
 
 class TestBatchIndependence:
@@ -242,6 +265,15 @@ def spd_with_condition(gen, d, cond):
     return (Q * np.geomspace(1.0, 1.0 / cond, d)) @ Q.T
 
 
+def solve(G, b):
+    """Stacked systems ``G x = b`` scaled, factored and solved as the CV path does.
+
+    Returns the solutions (zero where the fallback rule fails) and the flags.
+    """
+    factor = gram_factor(*_unit_diagonal(G))
+    return gram_apply(factor, b), factor.ok
+
+
 class TestGramSolve:
     def test_solves_and_flags_each_system_alone(self):
         gen = np.random.default_rng(3)
@@ -257,7 +289,7 @@ class TestGramSolve:
         G = np.stack([good[0], singular, good[1], indefinite, zero_diagonal, good[2], ill])
         G = G * np.array([1.0, 2.0, 1e6, 1.0, 1.0, 1e-6, 1.0])[:, None, None]
         b = gen.standard_normal((G.shape[0], d))
-        x, ok = gram_solve(G, b)
+        x, ok = solve(G, b)
         assert ok.tolist() == [True, False, True, False, False, True, False]
         for i in np.flatnonzero(ok):
             np.testing.assert_allclose(x[i], np.linalg.solve(G[i], b[i]), rtol=1e-10)
@@ -271,7 +303,7 @@ class TestGramSolve:
         for d in (2, 4, 8, 16):
             conds = GRAM_COND_MAX * np.geomspace(0.1, 1e4, 40)
             G = np.stack([spd_with_condition(gen, d, c) for c in conds])
-            _, ok = gram_solve(G, gen.standard_normal((40, d)))
+            _, ok = solve(G, gen.standard_normal((40, d)))
             s = 1.0 / np.sqrt(np.einsum("mii->mi", G))
             w = np.linalg.eigvalsh(G * s[:, :, None] * s[:, None, :])
             scaled_cond = w[:, -1] / w[:, 0]
@@ -283,6 +315,6 @@ class TestGramSolve:
         for d in (1, 3, 10, 31):
             G = np.stack([spd_with_condition(gen, d, 100.0) for _ in range(8)])
             b = gen.standard_normal((8, d))
-            x, ok = gram_solve(G, b)
+            x, ok = solve(G, b)
             assert ok.all()
             np.testing.assert_allclose(x, np.linalg.solve(G, b[:, :, None])[:, :, 0], rtol=1e-10)

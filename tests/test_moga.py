@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from paretoreg._kernels import ols_batch
 from paretoreg.baselines import best_subset_table
 from paretoreg.data import Dataset, EvaluatedModel, ObjectiveVector, mask_to_string
 from paretoreg.moga import (
@@ -14,7 +15,7 @@ from paretoreg.moga import (
     repair_bounds,
     run_moga,
 )
-from paretoreg.objectives import ObjectiveSpec
+from paretoreg.objectives import CROSS_VALIDATION, ObjectiveSpec
 from paretoreg.pareto import dominates
 
 from conftest import lstsq_fit
@@ -408,6 +409,27 @@ class TestRunMoga:
             run_moga(ga_data, GAConfig(complexity_bounds=(0, 99)))
         with pytest.raises(ValueError):
             run_moga(ga_data, GAConfig(snapshot_every=0))
+
+    def test_constant_response_reports_zero_error(self):
+        # 37 rows of 3.7: the mean is inexact, so y - mean(y) is rounding;
+        # every fit is exact and must report an error of exactly 0, and
+        # the intercept-only model must then dominate the whole frontier
+        gen = np.random.default_rng(0)
+        X = gen.standard_normal((37, 6))
+        X[:, 5] = X[:, 2]
+        y = np.full(37, 3.7)
+        assert y.mean() != 3.7
+        data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(6)))
+        masks = gen.random((200, 6)) < 0.5
+        intercepts, coefs, mses, deficient = ols_batch(X, y, masks)
+        # the duplicate-column masks go to the SVD
+        assert deficient.any() and not deficient.all()
+        assert mses[~deficient].tolist() == [0.0] * int((~deficient).sum())
+        assert not coefs[~deficient].any()
+        for spec in (ObjectiveSpec(), ObjectiveSpec(kind=CROSS_VALIDATION, folds=5)):
+            result = run_moga(data, GAConfig(iterations=50, seed=0, objective=spec))
+            points = [(m.objective.complexity, m.objective.error) for m in result.frontier]
+            assert points == [(0, 0.0)]
 
     def test_single_predictor_default_run(self):
         # a default population of K = 1 could not breed; it is raised to 2,

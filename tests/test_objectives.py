@@ -12,8 +12,6 @@ from paretoreg.objectives import (
     ObjectiveSpec,
     aic,
     bic,
-    cv_objective,
-    in_sample_objective,
     make_partition,
 )
 
@@ -69,13 +67,15 @@ def toy_dataset(n=24, k=4, seed=11):
 class TestInSample:
     def test_matches_reference(self, toy_data):
         mask = np.array([False, True, False, False, True, False])
-        o = in_sample_objective(toy_data, mask)
+        ev = ObjectiveEvaluator(toy_data, ObjectiveSpec(kind=IN_SAMPLE))
+        o = ev.evaluate(mask).objective
         _, _, mse_ref, _ = lstsq_fit(toy_data.X, toy_data.y, mask)
         assert o.complexity == 2
         assert abs(o.error - mse_ref) < 1e-10
 
     def test_empty_mask_variance(self, toy_data):
-        o = in_sample_objective(toy_data, np.zeros(6, dtype=bool))
+        ev = ObjectiveEvaluator(toy_data, ObjectiveSpec(kind=IN_SAMPLE))
+        o = ev.evaluate(np.zeros(6, dtype=bool)).objective
         assert abs(o.error - np.var(toy_data.y)) < 1e-10
 
 
@@ -86,7 +86,7 @@ class TestCrossValidation:
         mask = np.array([True, False, True])
         part = make_partition(12, 2, seed=9)
         spec = ObjectiveSpec(kind=CROSS_VALIDATION, partition=part)
-        o = cv_objective(data, mask, spec)
+        o = ObjectiveEvaluator(data, spec).evaluate(mask).objective
 
         errs = []
         for i, fold in enumerate(part.folds):
@@ -102,7 +102,7 @@ class TestCrossValidation:
         mask = np.array([True, True, False])
         part = make_partition(10, 10, seed=0)
         spec = ObjectiveSpec(kind=CROSS_VALIDATION, partition=part)
-        o = cv_objective(data, mask, spec)
+        o = ObjectiveEvaluator(data, spec).evaluate(mask).objective
         errs = []
         for i in range(10):
             tr = part.train_indices(i)
@@ -148,7 +148,7 @@ class TestGramCrossValidation:
     @pytest.mark.parametrize("case", ["correlated", "example1", "duplicate_column"])
     def test_matches_cv_objective(self, case):
         # the oracle is the CV objective's definition, refitted fold by
-        # fold with lstsq: cv_objective itself runs the same kernel
+        # fold with lstsq
         data, folds = gram_cases()[case]
         spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds, seed=5).resolve(data.n)
         gen = np.random.default_rng(6)
@@ -220,13 +220,6 @@ class TestInformationCriteria:
         assert abs(aic(1.0, 0, 10) - 0.0) < 1e-12
         assert abs(aic(np.e, 3, 6) - (1.0 + 1.0)) < 1e-12
         assert abs(bic(1.0, 2, np.e**2) - (2 * 2 / np.e**2)) < 1e-12
-
-    def test_alt_form(self):
-        # alternative printed form scales the log-likelihood term by -2
-        assert abs(aic(np.e, 1, 4, alt_form=True) - (2 * 1 / 4 - 2.0)) < 1e-12
-        assert abs(
-            bic(np.e, 1, 4, alt_form=True) - (1 * np.log(4) / 4 - 2.0)
-        ) < 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(
