@@ -8,7 +8,7 @@ block of the centred normal equations.  Masks are grouped by size and the
 systems of a group are solved together by :func:`gram_factor` and
 :func:`gram_apply`, followed by one step of iterative refinement against
 the residual on the n rows.  The cross-validation fold downdates scale
-their stacked systems by :func:`_unit_diagonal` and solve them with the
+their stacked systems by :func:`unit_diagonal` and solve them with the
 same two functions.
 
 Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
@@ -93,21 +93,25 @@ class GramStats(NamedTuple):
         y = np.asarray(y, dtype=np.float64)
         x_mean = X.mean(axis=0)
         y_mean = float(y.mean())
-        raw = np.column_stack((X, y))
-        A = raw - np.append(x_mean, y_mean)
+        A = np.column_stack((X - x_mean, y - y_mean))
         # A constant column whose mean is inexact centres to the same
         # rounding error in every row, which unit scaling would blow up to
         # a unit column.  The mean of n equal values is off by at most
         # about n/4 eps relative, so a centred norm within n eps of the
-        # raw norm is set to exactly zero: the column has no spread.  A
-        # predictor so zeroed sends every mask holding it to the SVD; a
-        # response so zeroed gives every Gram-path fit an error of 0.
+        # raw norm is set to exactly zero: the column has no spread, and
+        # every mask holding it goes to the SVD.
         n = X.shape[0]
-        flat = (A**2).sum(axis=0) <= (n * _EPS) ** 2 * (raw**2).sum(axis=0)
-        A[:, flat] = 0.0
+        flat = (A[:, :-1] ** 2).sum(axis=0) <= (n * _EPS) ** 2 * (X**2).sum(axis=0)
+        A[:, :-1][:, flat] = 0.0
+        # A response whose values are all equal is fitted exactly by the
+        # intercept, so its rounding residue is zeroed and every Gram-path
+        # fit reports an error of 0.  Only exact equality counts: a
+        # response with a small real spread about a large mean keeps it.
+        if np.ptp(y) == 0.0:
+            A[:, -1] = 0.0
         xct = np.ascontiguousarray(A[:, :-1].T)
         gram = A.T @ A
-        unit, scale = _unit_diagonal(gram[None, :-1, :-1])
+        unit, scale = unit_diagonal(gram[None, :-1, :-1])
         return cls(x_mean, y_mean, xct, np.ascontiguousarray(A[:, -1]), gram, unit[0], scale[0])
 
 
@@ -253,7 +257,7 @@ class GramFactor(NamedTuple):
     ok: np.ndarray
 
 
-def _unit_diagonal(G):
+def unit_diagonal(G):
     """Stacked systems scaled to unit diagonal: (D G D, D), D = diag(G)^(-1/2).
 
     A diagonal entry that is not positive keeps a scale of 1, so the

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .analysis import criteria_scan, hs_plot, kappa_metric, knee_point, os_plot
@@ -104,17 +105,12 @@ def _write_frontier(out, frontier, data, config_doc, stats_doc) -> str:
     )
     path = os.path.join(out, "frontier.json")
     write_frontier_json(path, doc)
-    _write_text(os.path.join(out, "frontier.csv"), frontier_csv(frontier, data.names))
+    Path(out, "frontier.csv").write_text(frontier_csv(frontier, data.names))
     return path
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _load(args: argparse.Namespace):
@@ -186,7 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     frontier_path = _write_frontier(out, result.frontier, data, config_doc, stats_doc)
     _write_json(os.path.join(out, "run.json"), {"config": config_doc, "stats": stats_doc})
     if result.snapshots:
-        _write_text(os.path.join(out, "snapshots.csv"), snapshots_csv(result.snapshots))
+        Path(out, "snapshots.csv").write_text(snapshots_csv(result.snapshots))
     print(
         f"frontier: {len(result.frontier)} models, complexities "
         f"{result.frontier.complexities[0]}..{result.frontier.complexities[-1]}, "
@@ -225,7 +221,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         )
     path = os.path.join(out, "trajectory.json")
     _write_json(path, trajectory_to_dict(traj, data.names))
-    _write_text(os.path.join(out, "trajectory.csv"), trajectory_csv(traj, data.names))
+    Path(out, "trajectory.csv").write_text(trajectory_csv(traj, data.names))
     print(
         f"{args.method}: {len(traj.steps)} steps, final model has "
         f"{traj.final.objective.complexity} variables "
@@ -266,7 +262,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"{int(row.complexity == scan.bic_argmin)}"
             )
         path = os.path.join(out, "criteria.csv")
-        _write_text(path, "\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         print(f"AIC argmin complexity: {scan.aic_argmin}")
         print(f"BIC argmin complexity: {scan.bic_argmin}")
         print(f"wrote {path}")
@@ -301,8 +297,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         plot = os_plot(primary.frontier, snapshots, log_y=args.log_y)
         csv_path = os.path.join(out, "os_plot.csv")
         svg_path = os.path.join(out, "os_plot.svg")
-        _write_text(csv_path, plot.csv)
-        _write_text(svg_path, plot.svg)
+        Path(csv_path).write_text(plot.csv)
+        Path(svg_path).write_text(plot.svg)
         print(f"wrote {csv_path} and {svg_path}")
         return 0
 
@@ -311,8 +307,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         plot = hs_plot(primary.frontier, primary.names, complexity_range=rng)
         txt_path = os.path.join(out, "hs_plot.txt")
         svg_path = os.path.join(out, "hs_plot.svg")
-        _write_text(txt_path, plot.text)
-        _write_text(svg_path, plot.svg)
+        Path(txt_path).write_text(plot.text)
+        Path(svg_path).write_text(plot.svg)
         print(plot.text, end="")
         print(f"wrote {txt_path} and {svg_path}")
         return 0

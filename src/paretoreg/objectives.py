@@ -18,10 +18,10 @@ import numpy as np
 from ._kernels import (
     CHUNK_ELEMENTS,
     GramStats,
-    _unit_diagonal,
     gram_apply,
     gram_factor,
     ols_batch,
+    unit_diagonal,
 )
 from .data import Dataset, EvaluatedModel, ObjectiveVector
 
@@ -266,7 +266,7 @@ class ObjectiveEvaluator:
         folds = np.arange(n_folds)[None, :, None]
         system = gram[folds[..., None], idx[:, None, :, None], idx[:, None, None, :]]
         rhs = gram[folds, idx[:, None, :], width - 1]
-        factor = gram_factor(*_unit_diagonal(system.reshape(m * n_folds, d + 1, d + 1)))
+        factor = gram_factor(*unit_diagonal(system.reshape(m * n_folds, d + 1, d + 1)))
         beta = gram_apply(factor, rhs.reshape(m * n_folds, d + 1))
         # w = (beta, -1) on A's columns, so A_v w is minus the residual
         w = np.zeros((n_folds, m, width))

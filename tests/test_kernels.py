@@ -5,15 +5,17 @@ from paretoreg._kernels import (
     CHUNK_ELEMENTS,
     GRAM_COND_MAX,
     GramStats,
-    _unit_diagonal,
     active_backend,
     gram_apply,
     gram_factor,
     ols_batch,
+    unit_diagonal,
 )
+from paretoreg.data import Dataset
+from paretoreg.objectives import CROSS_VALIDATION, ObjectiveEvaluator, ObjectiveSpec
 from paretoreg.simdata import expand_features, gen_additive, gen_correlated
 
-from conftest import lstsq_fit
+from conftest import lstsq_cv_error, lstsq_fit
 
 
 def fit_one(X, y, mask):
@@ -107,6 +109,31 @@ class TestGramPathAccuracy:
             assert intercepts[i] == pytest.approx(b0, abs=1e-10)
             np.testing.assert_allclose(coefs[i][masks[i]], b, atol=1e-10)
             assert mses[i] == pytest.approx(mse, rel=1e-12, abs=1e-12)
+
+    def test_small_spread_response_keeps_its_error(self):
+        # a response with a real spread of about 1e-4 (some 800 ulps)
+        # about a mean of 1e9 is not constant: its fits are real, not 0
+        gen = np.random.default_rng(7)
+        X = gen.standard_normal((1000, 6))
+        noise = X[:, 0] - 0.5 * X[:, 3] + gen.standard_normal(1000)
+        y = 1e9 + 1e-4 * noise
+        # y - 1e9 is exact, so a fit to it is free of the large mean
+        shifted = y - 1e9
+        masks = gen.random((100, 6)) < 0.5
+        _, _, mses, deficient = ols_batch(X, y, masks)
+        assert not deficient.any()
+        assert (mses > 0.0).all()
+        for i in range(masks.shape[0]):
+            assert mses[i] == pytest.approx(centred_lstsq_mse(X, y, masks[i]), rel=1e-10, abs=0)
+            assert mses[i] == pytest.approx(lstsq_fit(X, shifted, masks[i])[2], rel=1e-6, abs=0)
+        data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(6)))
+        evaluator = ObjectiveEvaluator(data, ObjectiveSpec(kind=CROSS_VALIDATION, folds=5))
+        folds = evaluator.spec.partition.folds
+        # the fold Grams take the centred columns' sums as zero, and the
+        # rounding in mean(y) puts these errors about 1e-6 off the shifted fit
+        for i, model in enumerate(evaluator.evaluate_many(list(masks))):
+            want = lstsq_cv_error(X, shifted, masks[i], folds)
+            assert model.objective.error == pytest.approx(want, rel=1e-5, abs=0)
 
 
 class TestScaledResponse:
@@ -265,15 +292,6 @@ def spd_with_condition(gen, d, cond):
     return (Q * np.geomspace(1.0, 1.0 / cond, d)) @ Q.T
 
 
-def solve(G, b):
-    """Stacked systems ``G x = b`` scaled, factored and solved as the CV path does.
-
-    Returns the solutions (zero where the fallback rule fails) and the flags.
-    """
-    factor = gram_factor(*_unit_diagonal(G))
-    return gram_apply(factor, b), factor.ok
-
-
 class TestGramSolve:
     def test_solves_and_flags_each_system_alone(self):
         gen = np.random.default_rng(3)
@@ -289,7 +307,8 @@ class TestGramSolve:
         G = np.stack([good[0], singular, good[1], indefinite, zero_diagonal, good[2], ill])
         G = G * np.array([1.0, 2.0, 1e6, 1.0, 1.0, 1e-6, 1.0])[:, None, None]
         b = gen.standard_normal((G.shape[0], d))
-        x, ok = solve(G, b)
+        factor = gram_factor(*unit_diagonal(G))
+        x, ok = gram_apply(factor, b), factor.ok
         assert ok.tolist() == [True, False, True, False, False, True, False]
         for i in np.flatnonzero(ok):
             np.testing.assert_allclose(x[i], np.linalg.solve(G[i], b[i]), rtol=1e-10)
@@ -303,7 +322,9 @@ class TestGramSolve:
         for d in (2, 4, 8, 16):
             conds = GRAM_COND_MAX * np.geomspace(0.1, 1e4, 40)
             G = np.stack([spd_with_condition(gen, d, c) for c in conds])
-            _, ok = solve(G, gen.standard_normal((40, d)))
+            factor = gram_factor(*unit_diagonal(G))
+            ok = factor.ok
+            assert not gram_apply(factor, gen.standard_normal((40, d)))[~ok].any()
             s = 1.0 / np.sqrt(np.einsum("mii->mi", G))
             w = np.linalg.eigvalsh(G * s[:, :, None] * s[:, None, :])
             scaled_cond = w[:, -1] / w[:, 0]
@@ -315,6 +336,7 @@ class TestGramSolve:
         for d in (1, 3, 10, 31):
             G = np.stack([spd_with_condition(gen, d, 100.0) for _ in range(8)])
             b = gen.standard_normal((8, d))
-            x, ok = solve(G, b)
-            assert ok.all()
-            np.testing.assert_allclose(x, np.linalg.solve(G, b[:, :, None])[:, :, 0], rtol=1e-10)
+            factor = gram_factor(*unit_diagonal(G))
+            assert factor.ok.all()
+            want = np.linalg.solve(G, b[:, :, None])[:, :, 0]
+            np.testing.assert_allclose(gram_apply(factor, b), want, rtol=1e-10)
