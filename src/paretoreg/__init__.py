@@ -21,7 +21,6 @@ from .data import (
     mask_to_string,
     save_csv,
 )
-from .regress import FitResult, fit_ols, predict
 from .objectives import (
     CROSS_VALIDATION,
     IN_SAMPLE,
@@ -81,9 +80,6 @@ __all__ = [
     "save_csv",
     "mask_from_string",
     "mask_to_string",
-    "FitResult",
-    "fit_ols",
-    "predict",
     "IN_SAMPLE",
     "CROSS_VALIDATION",
     "FoldPartition",

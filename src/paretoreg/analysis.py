@@ -138,11 +138,11 @@ def kappa_metric(
     """Mean held-out error of frontier models in a complexity band.
 
     Each frontier is paired with one evaluation dataset.  Every frontier
-    model with complexity in [lo, hi] is scored on its paired dataset
-    using the coefficients already stored in the model (no refitting),
-    the scores are averaged within a pair, and the pair averages are
-    averaged again.  Pairs whose frontier has no model in the band are
-    an error, as is an empty input.
+    model with complexity in [lo, hi] is scored on its paired dataset by
+    :meth:`EvaluatedModel.predict`, with the coefficients already stored
+    in the model (no refitting); the scores are averaged within a pair,
+    and the pair averages are averaged again.  Pairs whose frontier has
+    no model in the band are an error, as is an empty input.
     """
     if len(frontiers) == 0 or len(frontiers) != len(eval_sets):
         raise ValueError(
@@ -157,12 +157,7 @@ def kappa_metric(
         for m in frontier:
             if not lo <= m.objective.complexity <= hi:
                 continue
-            if m.mask.shape[0] != data.k:
-                raise ValueError(
-                    f"frontier mask length {m.mask.shape[0]} does not match "
-                    f"evaluation data k={data.k}"
-                )
-            resid = data.y - (m.intercept + data.X[:, m.mask] @ m.coefficients)
+            resid = data.y - m.predict(data.X)
             scores.append(float(resid @ resid) / data.n)
         if not scores:
             raise ValueError(

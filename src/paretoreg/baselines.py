@@ -15,22 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import GramStats, is_zero_error, ols_batch
-from .data import Dataset, EvaluatedModel, ObjectiveVector
+from .data import Dataset, EvaluatedModel
 from .pareto import Frontier
 
 EXHAUSTIVE_K_LIMIT = 25
 _CHUNK = 2048
-
-
-def _model_from_fit(
-    mask: np.ndarray, intercept: float, coefs_dense: np.ndarray, mse: float
-) -> EvaluatedModel:
-    return EvaluatedModel(
-        mask=mask,
-        objective=ObjectiveVector(complexity=int(mask.sum()), error=float(mse)),
-        intercept=float(intercept),
-        coefficients=np.asarray(coefs_dense)[mask],
-    )
 
 
 def _chunked_combinations(k: int, d: int, chunk: int):
@@ -78,7 +67,7 @@ def best_subset_table(
                 if best is None or cand < best[0]:
                     best = (cand, masks[i], intercepts[i], coefs[i])
         (mse, _), mask, intercept, coef = best
-        table.append(_model_from_fit(mask, intercept, coef, mse))
+        table.append(EvaluatedModel.from_fit(mask, intercept, coef, mse))
     return table
 
 
@@ -112,7 +101,7 @@ class Trajectory:
 
 def _fit_one(data: Dataset, stats: GramStats, mask: np.ndarray) -> EvaluatedModel:
     intercepts, coefs, mses, _ = ols_batch(data.X, data.y, mask[None, :], stats=stats)
-    return _model_from_fit(mask, intercepts[0], coefs[0], mses[0])
+    return EvaluatedModel.from_fit(mask, intercepts[0], coefs[0], mses[0])
 
 
 def _partial_f(
@@ -172,7 +161,7 @@ def _step(
         accepted = fstats[i] < threshold
     if not accepted:
         return None
-    return _model_from_fit(cands[i], intercepts[i], coefs[i], mses[i])
+    return EvaluatedModel.from_fit(cands[i], intercepts[i], coefs[i], mses[i])
 
 
 def forward_selection(

@@ -162,6 +162,30 @@ class EvaluatedModel:
         object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "intercept", float(self.intercept))
 
+    @classmethod
+    def from_fit(
+        cls,
+        mask: np.ndarray,
+        intercept: float,
+        dense_coefficients: np.ndarray,
+        error: float,
+    ) -> "EvaluatedModel":
+        """The model of one row of :func:`~paretoreg._kernels.ols_batch` output.
+
+        ``mask`` is the row's boolean mask and ``dense_coefficients`` its
+        coefficient row, with one entry per predictor column.  ``error``
+        is the objective: the row's in-sample MSE, or a cross-validated
+        error of the same mask.
+        """
+        return cls(
+            mask=mask,
+            objective=ObjectiveVector(
+                complexity=int(np.count_nonzero(mask)), error=float(error)
+            ),
+            intercept=float(intercept),
+            coefficients=np.asarray(dense_coefficients)[mask],
+        )
+
     @property
     def complexity(self) -> int:
         return self.objective.complexity
@@ -173,6 +197,16 @@ class EvaluatedModel:
     def mask_key(self) -> bytes:
         """Raw bit pattern of the mask; usable as a dict key."""
         return self.mask.tobytes()
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Fitted values for the rows of ``X``, which has one column per
+        mask entry (the column layout the model was fitted on)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.mask.shape[0]:
+            raise ValueError(
+                f"X shape {X.shape} does not match mask length {self.mask.shape[0]}"
+            )
+        return self.intercept + X[:, self.mask] @ self.coefficients
 
     def selected_names(self, names: Sequence[str]) -> tuple[str, ...]:
         """Names of the selected predictors, ascending column order."""

@@ -230,8 +230,11 @@ def run_moga(
     Notes
     -----
     Identical data, config and library versions reproduce the result
-    exactly: all randomness flows from one generator seeded with
-    ``config.seed``, and evaluation order is fixed.
+    exactly under the same BLAS thread setting: all randomness flows
+    from one generator seeded with ``config.seed``, and evaluation order
+    is fixed.  The fitted bits can differ between BLAS thread counts
+    (for example ``OPENBLAS_NUM_THREADS=1`` against the default), because
+    the Gram products are not yet computed in a fixed order.
     """
     config = config or GAConfig()
     k = data.k

@@ -10,7 +10,7 @@ are comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from ._kernels import (
     ols_batch,
     unit_diagonal,
 )
-from .data import Dataset, EvaluatedModel, ObjectiveVector
+from .data import Dataset, EvaluatedModel
 
 IN_SAMPLE = "in_sample"
 CROSS_VALIDATION = "cross_validation"
@@ -89,33 +89,20 @@ class ObjectiveSpec:
     """Which error objective to attach to candidate models.
 
     ``kind`` is ``"in_sample"`` or ``"cross_validation"``.  For
-    cross-validation, ``folds``/``seed`` describe the partition; a
-    concrete :class:`FoldPartition` is attached lazily via
-    :meth:`resolve` once the row count is known.
+    cross-validation, ``folds``/``seed`` describe the partition, which
+    :class:`ObjectiveEvaluator` draws by :func:`make_partition` once the
+    row count is known.
     """
 
     kind: str = IN_SAMPLE
     folds: int = 10
     seed: int = 0
-    partition: FoldPartition | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (IN_SAMPLE, CROSS_VALIDATION):
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.kind == CROSS_VALIDATION and self.folds < 2:
             raise ValueError("cross-validation needs at least 2 folds")
-
-    def resolve(self, n: int) -> "ObjectiveSpec":
-        """Return a spec whose partition is built for ``n`` rows."""
-        if self.kind == IN_SAMPLE:
-            return self
-        if self.partition is not None:
-            if self.partition.n != n:
-                raise ValueError(
-                    f"partition built for n={self.partition.n}, data has n={n}"
-                )
-            return self
-        return replace(self, partition=make_partition(n, self.folds, self.seed))
 
 
 class ObjectiveEvaluator:
@@ -148,13 +135,15 @@ class ObjectiveEvaluator:
 
     def __init__(self, data: Dataset, spec: ObjectiveSpec | None = None) -> None:
         self.data = data
-        self.spec = (spec or ObjectiveSpec()).resolve(data.n)
+        self.spec = spec or ObjectiveSpec()
         self._cache: dict[bytes, EvaluatedModel] = {}
         self._queries = 0
         self._svd_fallbacks = 0
         self._stats = GramStats.of(data.X, data.y)
+        self._partition = None
         if self.spec.kind == CROSS_VALIDATION:
-            folds = self.spec.partition.folds
+            self._partition = make_partition(data.n, self.spec.folds, self.spec.seed)
+            folds = self._partition.folds
             stats = self._stats
             A = np.column_stack((np.ones(data.n), stats.xct.T, stats.yc))
             gram = np.zeros((A.shape[1], A.shape[1]))
@@ -167,6 +156,12 @@ class ObjectiveEvaluator:
             for i, f in enumerate(folds):
                 self._val[i, : f.size] = A[f]
             self._train_gram = gram - np.swapaxes(self._val, 1, 2) @ self._val
+
+    @property
+    def partition(self) -> FoldPartition | None:
+        """The cross-validation folds, ``make_partition(data.n,
+        spec.folds, spec.seed)``; None for the in-sample objective."""
+        return self._partition
 
     @property
     def evaluations(self) -> int:
@@ -213,25 +208,14 @@ class ObjectiveEvaluator:
     def _evaluate_batch(self, masks: np.ndarray) -> list[EvaluatedModel]:
         data = self.data
         intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=self._stats)
-        complexities = masks.sum(axis=1)
         if self.spec.kind == IN_SAMPLE:
             errors = mses
         else:
-            errors = self._cv_errors(masks, complexities)
-        out = []
-        for i in range(masks.shape[0]):
-            mask = masks[i]
-            out.append(
-                EvaluatedModel(
-                    mask=mask,
-                    objective=ObjectiveVector(
-                        complexity=int(complexities[i]), error=float(errors[i])
-                    ),
-                    intercept=float(intercepts[i]),
-                    coefficients=coefs[i][mask],
-                )
-            )
-        return out
+            errors = self._cv_errors(masks, masks.sum(axis=1))
+        return [
+            EvaluatedModel.from_fit(masks[i], intercepts[i], coefs[i], errors[i])
+            for i in range(masks.shape[0])
+        ]
 
     def _cv_errors(self, masks: np.ndarray, complexities: np.ndarray) -> np.ndarray:
         """Cross-validated errors: Gram fold solves, SVD refits as fallback."""
@@ -279,7 +263,7 @@ class ObjectiveEvaluator:
     def _cv_refit(self, masks: np.ndarray) -> np.ndarray:
         """CV errors by one :func:`ols_batch` refit per fold."""
         X, y = self.data.X, self.data.y
-        part = self.spec.partition
+        part = self._partition
         errors = np.zeros(masks.shape[0], dtype=np.float64)
         for f, val in enumerate(part.folds):
             train = part.train_indices(f)

@@ -24,9 +24,13 @@ from paretoreg.analysis import criteria_scan, hs_plot, knee_point
 from paretoreg.baselines import best_subset_table, stepwise_selection
 from paretoreg.data import EvaluatedModel, ObjectiveVector, load_csv
 from paretoreg.moga import GAConfig, environmental_selection, mutate, run_moga
-from paretoreg.objectives import CROSS_VALIDATION, ObjectiveSpec, make_partition
+from paretoreg.objectives import (
+    CROSS_VALIDATION,
+    ObjectiveEvaluator,
+    ObjectiveSpec,
+    make_partition,
+)
 from paretoreg.pareto import dominates, nondominated
-from paretoreg.regress import fit_ols
 from paretoreg.simdata import (
     expand_features,
     gen_additive,
@@ -119,7 +123,7 @@ def test_criterion_2_coefficient_recovery(capsys):
     for s in range(10):
         raw, truth = gen_additive(1000, seed=s)
         wide = expand_features(raw)
-        fit = fit_ols(wide, truth.mask)
+        fit = ObjectiveEvaluator(wide).evaluate(truth.mask)
         got = np.concatenate([[fit.intercept], fit.coefficients])
         if np.all(np.abs(got - target) <= 0.15):
             hits += 1

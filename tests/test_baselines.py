@@ -12,7 +12,10 @@ from paretoreg.baselines import (
     forward_selection,
     stepwise_selection,
 )
+from paretoreg._kernels import ols_batch
 from paretoreg.data import Dataset
+from paretoreg.objectives import ObjectiveEvaluator
+from paretoreg.simdata import gen_correlated, truncate_predictors
 
 from conftest import lstsq_fit
 
@@ -320,3 +323,50 @@ class TestStepwiseSelection:
         traj = stepwise_selection(data)
         assert traj.model_sizes == tuple(m.objective.complexity for m in traj.steps)
         assert isinstance(traj, Trajectory)
+
+
+def aliased_constant_data():
+    """60 rows, 8 columns: column 5 copies column 2, column 7 is 3.7 throughout.
+
+    Masks holding both copies or the constant fail the kernel's fallback
+    rule and are fitted by SVD.
+    """
+    gen = np.random.default_rng(21)
+    X = gen.standard_normal((60, 8))
+    X[:, 5] = X[:, 2]
+    X[:, 7] = 3.7
+    y = 1.0 + X[:, 0] - 2.0 * X[:, 2] + 0.5 * X[:, 4] + 0.3 * gen.standard_normal(60)
+    return Dataset(X=X, y=y, names=[f"v{i}" for i in range(8)])
+
+
+def one_fit_path_cases():
+    return {
+        "correlated": truncate_predictors(gen_correlated(120, p=20, seed=4)[0], 12),
+        "aliased_constant": aliased_constant_data(),
+    }
+
+
+class TestOneFitPath:
+    """Every baseline model is the evaluator's model of the same mask, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["correlated", "aliased_constant"])
+    def test_baseline_models_match_evaluator(self, case):
+        data = one_fit_path_cases()[case]
+        evaluator = ObjectiveEvaluator(data)
+        table = best_subset_table(data)
+        models = list(table)
+        for traj in (
+            forward_selection(data),
+            backward_elimination(data),
+            stepwise_selection(data),
+        ):
+            assert traj.steps
+            models += [*traj.steps, traj.final]
+        for model in models:
+            want = evaluator.evaluate(model.mask)
+            assert model.mask.tobytes() == want.mask.tobytes()
+            assert model.error.hex() == want.error.hex()
+            assert model.intercept.hex() == want.intercept.hex()
+            assert model.coefficients.tobytes() == want.coefficients.tobytes()
+        deficient = ols_batch(data.X, data.y, np.stack([m.mask for m in table]))[3]
+        assert deficient.any() == (case == "aliased_constant")

@@ -128,7 +128,7 @@ class TestGramPathAccuracy:
             assert mses[i] == pytest.approx(lstsq_fit(X, shifted, masks[i])[2], rel=1e-6, abs=0)
         data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(6)))
         evaluator = ObjectiveEvaluator(data, ObjectiveSpec(kind=CROSS_VALIDATION, folds=5))
-        folds = evaluator.spec.partition.folds
+        folds = evaluator.partition.folds
         # the fold Grams take the centred columns' sums as zero, and the
         # rounding in mean(y) puts these errors about 1e-6 off the shifted fit
         for i, model in enumerate(evaluator.evaluate_many(list(masks))):

@@ -84,9 +84,9 @@ class TestCrossValidation:
         # small enough to trace the estimator by hand with explicit refits
         data = toy_dataset(n=12, k=3, seed=5)
         mask = np.array([True, False, True])
-        part = make_partition(12, 2, seed=9)
-        spec = ObjectiveSpec(kind=CROSS_VALIDATION, partition=part)
-        o = ObjectiveEvaluator(data, spec).evaluate(mask).objective
+        ev = ObjectiveEvaluator(data, ObjectiveSpec(kind=CROSS_VALIDATION, folds=2, seed=9))
+        o = ev.evaluate(mask).objective
+        part = ev.partition
 
         errs = []
         for i, fold in enumerate(part.folds):
@@ -100,9 +100,9 @@ class TestCrossValidation:
     def test_loo_equals_nfold_n(self):
         data = toy_dataset(n=10, k=3, seed=1)
         mask = np.array([True, True, False])
-        part = make_partition(10, 10, seed=0)
-        spec = ObjectiveSpec(kind=CROSS_VALIDATION, partition=part)
-        o = ObjectiveEvaluator(data, spec).evaluate(mask).objective
+        ev = ObjectiveEvaluator(data, ObjectiveSpec(kind=CROSS_VALIDATION, folds=10, seed=0))
+        o = ev.evaluate(mask).objective
+        part = ev.partition
         errs = []
         for i in range(10):
             tr = part.train_indices(i)
@@ -150,12 +150,12 @@ class TestGramCrossValidation:
         # the oracle is the CV objective's definition, refitted fold by
         # fold with lstsq
         data, folds = gram_cases()[case]
-        spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds, seed=5).resolve(data.n)
+        spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds, seed=5)
         gen = np.random.default_rng(6)
         masks = gen.random((500, data.k)) < gen.random((500, 1))
         ev = ObjectiveEvaluator(data, spec)
         for mask, model in zip(masks, ev.evaluate_many(list(masks))):
-            want = lstsq_cv_error(data.X, data.y, mask, spec.partition.folds)
+            want = lstsq_cv_error(data.X, data.y, mask, ev.partition.folds)
             assert model.objective.complexity == int(mask.sum())
             assert model.objective.error == pytest.approx(want, rel=1e-10, abs=0)
         assert ev.svd_fallbacks < ev.unique_models

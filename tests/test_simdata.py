@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paretoreg.data import Dataset
-from paretoreg.regress import fit_ols
+from paretoreg.objectives import ObjectiveEvaluator
 from paretoreg.simdata import (
     TrueModel,
     correct_minus_incorrect,
@@ -102,7 +102,7 @@ class TestGenAdditive:
     def test_true_model_fit_recovers_coefficients(self):
         data, truth = gen_additive(2000, seed=17)
         wide = expand_features(data)
-        fit = fit_ols(wide, truth.mask)
+        fit = ObjectiveEvaluator(wide).evaluate(truth.mask)
         assert abs(fit.intercept - 10.0) < 0.3
         np.testing.assert_allclose(
             fit.coefficients, [5, 2, 5, 3, 0.1], atol=0.3

@@ -2,9 +2,14 @@
 
     PYTHONPATH=src python3 tools/frontier_digest.py
 
-Run it at two commits and compare the lines.  The first line covers the
-mask, ``error.hex()``, ``intercept.hex()`` and the coefficient bytes of
-every reported model, so equal first lines mean bit-identical results.
+Run it at two commits and compare the lines, with both commits under the
+same ``OPENBLAS_NUM_THREADS``.  The first line covers the mask,
+``error.hex()``, ``intercept.hex()`` and the coefficient bytes of every
+reported model, so equal first lines mean bit-identical results.  That
+line depends on the BLAS thread count (the same code prints one digest at
+1 thread and another at the default), so bit-identity holds only under
+the same BLAS thread setting until the Gram products are computed in a
+fixed order.
 The second line covers only the masks and complexities, so equal second
 lines mean that the search took the same path and every baseline chose
 the same models, even when a numerical change moved the last bits of
