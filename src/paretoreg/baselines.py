@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import GramStats, is_zero_error, ols_batch
+from ._kernels import CHUNK_ELEMENTS, GramStats, is_zero_error, ols_batch
 from .data import Dataset, EvaluatedModel
 from .pareto import Frontier
 
 EXHAUSTIVE_K_LIMIT = 25
-_CHUNK = 2048
 
 
 def _chunked_combinations(k: int, d: int, chunk: int):
@@ -29,8 +28,8 @@ def _chunked_combinations(k: int, d: int, chunk: int):
         if not block:
             return
         masks = np.zeros((len(block), k), dtype=np.bool_)
-        for row, cols in enumerate(block):
-            masks[row, list(cols)] = True
+        cols = np.array(block, dtype=np.intp).reshape(len(block), d)
+        masks[np.arange(len(block))[:, None], cols] = True
         yield masks
 
 
@@ -44,7 +43,8 @@ def best_subset_table(
     Enumerates all masks of each size and keeps the minimum-error one
     (ties go to the lexicographically smallest bit pattern).  Cost grows
     as 2^k, so k above 25 is refused unless ``force=True``.  Masks are
-    fitted in chunks of 2048, which bounds memory at large k.
+    fitted in chunks whose coefficient block holds at most
+    ``CHUNK_ELEMENTS`` entries, which bounds memory at large k.
     """
     k = data.k
     d_max = k if max_complexity is None else max_complexity
@@ -60,14 +60,15 @@ def best_subset_table(
     table: list[EvaluatedModel] = []
     for d in range(d_max + 1):
         best = None
-        for masks in _chunked_combinations(k, d, _CHUNK):
+        for masks in _chunked_combinations(k, d, max(1, CHUNK_ELEMENTS // k)):
             intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=stats)
-            for i in range(masks.shape[0]):
-                cand = (mses[i], masks[i].tobytes())
-                if best is None or cand < best[0]:
-                    best = (cand, masks[i], intercepts[i], coefs[i])
-        (mse, _), mask, intercept, coef = best
-        table.append(EvaluatedModel.from_fit(mask, intercept, coef, mse))
+            # masks come in descending bit-pattern order, so the last
+            # minimum is the smallest mask of the chunk, and a later chunk
+            # wins a tie against an earlier one
+            i = mses.size - 1 - int(np.argmin(mses[::-1]))
+            if best is None or mses[i] <= best[3]:
+                best = (masks[i], intercepts[i], coefs[i], mses[i])
+        table.append(EvaluatedModel.from_fit(*best))
     return table
 
 
@@ -93,15 +94,6 @@ class Trajectory:
     method: str
     steps: tuple[EvaluatedModel, ...]
     final: EvaluatedModel
-
-    @property
-    def model_sizes(self) -> tuple[int, ...]:
-        return tuple(m.objective.complexity for m in self.steps)
-
-
-def _fit_one(data: Dataset, stats: GramStats, mask: np.ndarray) -> EvaluatedModel:
-    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, mask[None, :], stats=stats)
-    return EvaluatedModel.from_fit(mask, intercepts[0], coefs[0], mses[0])
 
 
 def _partial_f(
@@ -164,30 +156,6 @@ def _step(
     return EvaluatedModel.from_fit(cands[i], intercepts[i], coefs[i], mses[i])
 
 
-def forward_selection(
-    data: Dataset, enter_threshold: float = 4.0, max_steps: int | None = None
-) -> Trajectory:
-    """Forward selection by partial-F.
-
-    Starting from the intercept-only model, repeatedly adds the variable
-    with the largest partial-F statistic while that statistic exceeds
-    ``enter_threshold``.  Ties go to the lowest column index.
-    """
-    if enter_threshold < 0:
-        raise ValueError(f"enter_threshold must be >= 0, got {enter_threshold}")
-    limit = max_steps if max_steps is not None else data.k
-    stats = GramStats.of(data.X, data.y)
-    current = _fit_one(data, stats, np.zeros(data.k, dtype=np.bool_))
-    steps: list[EvaluatedModel] = []
-    while len(steps) < limit:
-        accepted = _step(data, stats, current, True, enter_threshold)
-        if accepted is None:
-            break
-        current = accepted
-        steps.append(current)
-    return Trajectory(method="forward", steps=tuple(steps), final=current)
-
-
 def _max_rank_start(data: Dataset, stats: GramStats) -> np.ndarray:
     """Greedy full-rank starting mask for backward elimination.
 
@@ -209,9 +177,64 @@ def _max_rank_start(data: Dataset, stats: GramStats) -> np.ndarray:
     return mask
 
 
-def backward_elimination(
-    data: Dataset, exit_threshold: float = 4.0, max_steps: int | None = None
+def _select(
+    data: Dataset,
+    method: str,
+    enter_threshold: float | None,
+    exit_threshold: float | None,
 ) -> Trajectory:
+    """The partial-F selection loop shared by the three methods.
+
+    A threshold that is set must be >= 0 (NaN is refused), and exit
+    must not exceed enter.  With ``enter_threshold`` set the search
+    starts from the intercept-only model and each round makes one add
+    step, stopping when no variable enters; with ``exit_threshold`` set
+    every accepted step is followed by drop steps until none leaves.
+    Backward elimination sets only ``exit_threshold``: it starts from
+    :func:`_max_rank_start` and stops when no variable leaves.  Each step
+    moves the model size by one within 0..K, so only stepwise selection
+    can reach the cap of 4K steps.
+    """
+    for name, threshold in (("enter", enter_threshold), ("exit", exit_threshold)):
+        if threshold is not None and not threshold >= 0:
+            raise ValueError(f"{name}_threshold must be >= 0, got {threshold}")
+    if enter_threshold is not None and exit_threshold is not None:
+        if exit_threshold > enter_threshold:
+            raise ValueError(
+                f"exit_threshold {exit_threshold} must not exceed "
+                f"enter_threshold {enter_threshold}"
+            )
+    stats = GramStats.of(data.X, data.y)
+    add = enter_threshold is not None
+    start = np.zeros(data.k, dtype=np.bool_) if add else _max_rank_start(data, stats)
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, start[None, :], stats=stats)
+    current = EvaluatedModel.from_fit(start, intercepts[0], coefs[0], mses[0])
+    steps: list[EvaluatedModel] = []
+    while len(steps) < 4 * data.k:
+        threshold = enter_threshold if add else exit_threshold
+        accepted = _step(data, stats, current, add, threshold)
+        if accepted is not None:
+            current = accepted
+            steps.append(current)
+            add = exit_threshold is None
+        elif add or enter_threshold is None:
+            break
+        else:
+            add = True
+    return Trajectory(method=method, steps=tuple(steps), final=current)
+
+
+def forward_selection(data: Dataset, enter_threshold: float = 4.0) -> Trajectory:
+    """Forward selection by partial-F.
+
+    Starting from the intercept-only model, repeatedly adds the variable
+    with the largest partial-F statistic while that statistic exceeds
+    ``enter_threshold``.  Ties go to the lowest column index.
+    """
+    return _select(data, "forward", enter_threshold, None)
+
+
+def backward_elimination(data: Dataset, exit_threshold: float = 4.0) -> Trajectory:
     """Backward elimination by partial-F.
 
     Starting from the full model (or the largest numerically full-rank
@@ -219,26 +242,11 @@ def backward_elimination(
     variable with the smallest partial-F statistic while that statistic
     is below ``exit_threshold``.
     """
-    if exit_threshold < 0:
-        raise ValueError(f"exit_threshold must be >= 0, got {exit_threshold}")
-    limit = max_steps if max_steps is not None else data.k
-    stats = GramStats.of(data.X, data.y)
-    current = _fit_one(data, stats, _max_rank_start(data, stats))
-    steps: list[EvaluatedModel] = []
-    while len(steps) < limit:
-        accepted = _step(data, stats, current, False, exit_threshold)
-        if accepted is None:
-            break
-        current = accepted
-        steps.append(current)
-    return Trajectory(method="backward", steps=tuple(steps), final=current)
+    return _select(data, "backward", None, exit_threshold)
 
 
 def stepwise_selection(
-    data: Dataset,
-    enter_threshold: float = 4.0,
-    exit_threshold: float = 4.0,
-    max_steps: int | None = None,
+    data: Dataset, enter_threshold: float = 4.0, exit_threshold: float = 4.0
 ) -> Trajectory:
     """Forward steps with a backward sweep after each accepted addition.
 
@@ -246,26 +254,4 @@ def stepwise_selection(
     variable could be dropped immediately after entering and the search
     would cycle.  Every accepted add and drop is recorded as a step.
     """
-    if exit_threshold > enter_threshold:
-        raise ValueError(
-            f"exit_threshold {exit_threshold} must not exceed "
-            f"enter_threshold {enter_threshold}"
-        )
-    limit = max_steps if max_steps is not None else 4 * data.k
-    stats = GramStats.of(data.X, data.y)
-    current = _fit_one(data, stats, np.zeros(data.k, dtype=np.bool_))
-    steps: list[EvaluatedModel] = []
-    while len(steps) < limit:
-        accepted = _step(data, stats, current, True, enter_threshold)
-        if accepted is None:
-            break
-        current = accepted
-        steps.append(current)
-        # backward sweep until nothing else leaves
-        while len(steps) < limit:
-            accepted = _step(data, stats, current, False, exit_threshold)
-            if accepted is None:
-                break
-            current = accepted
-            steps.append(current)
-    return Trajectory(method="stepwise", steps=tuple(steps), final=current)
+    return _select(data, "stepwise", enter_threshold, exit_threshold)

@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import paretoreg.baselines
 from paretoreg.baselines import (
     EXHAUSTIVE_K_LIMIT,
-    Trajectory,
     backward_elimination,
     best_subset_table,
     exhaustive_frontier,
@@ -82,6 +82,26 @@ class TestBestSubsetTable:
         data = Dataset(X=X, y=y, names=("a", "b", "c"))
         table = best_subset_table(data)
         assert table[1].mask.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("per_chunk", [2, 3])
+    def test_ties_across_chunk_borders(self, monkeypatch, per_chunk):
+        # x4 copies x2, so every mask holding one copy ties exactly with
+        # its twin; with 2 or 3 masks per chunk the twins of a size group
+        # fall in different chunks
+        data = make_data(n=30, k=6, seed=3)
+        X = data.X.copy()
+        X[:, 3] = X[:, 1]
+        data = Dataset(X=X, y=data.y, names=data.names)
+        whole = best_subset_table(data)
+        monkeypatch.setattr(paretoreg.baselines, "CHUNK_ELEMENTS", per_chunk * data.k)
+        chunked = best_subset_table(data)
+        ref = brute_best_per_complexity(data)
+        assert len(chunked) == len(whole) == data.k + 1
+        for d, (got, want) in enumerate(zip(chunked, whole)):
+            assert got.mask_key() == want.mask_key() == ref[d][1]
+            assert got.error.hex() == want.error.hex()
+            assert got.intercept.hex() == want.intercept.hex()
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
     def test_max_complexity_cut(self):
         data = make_data()
@@ -214,6 +234,8 @@ class TestForwardSelection:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             forward_selection(make_data(), enter_threshold=-1.0)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            forward_selection(make_data(), enter_threshold=np.nan)
 
 
 class TestBackwardElimination:
@@ -251,6 +273,8 @@ class TestBackwardElimination:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             backward_elimination(make_data(), exit_threshold=-0.5)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            backward_elimination(make_data(), exit_threshold=np.nan)
 
 
 def oracle_stepwise(data, enter=4.0, exit_t=4.0):
@@ -318,11 +342,13 @@ class TestStepwiseSelection:
         with pytest.raises(ValueError):
             stepwise_selection(make_data(), enter_threshold=2.0, exit_threshold=3.0)
 
-    def test_model_sizes_property(self):
-        data = make_data(noise=0.05)
-        traj = stepwise_selection(data)
-        assert traj.model_sizes == tuple(m.objective.complexity for m in traj.steps)
-        assert isinstance(traj, Trajectory)
+    @pytest.mark.parametrize(
+        "enter, exit_",
+        [(-1.0, -2.0), (4.0, -1.0), (np.nan, 4.0), (4.0, np.nan), (np.nan, np.nan)],
+    )
+    def test_negative_and_nan_thresholds_rejected(self, enter, exit_):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            stepwise_selection(make_data(), enter_threshold=enter, exit_threshold=exit_)
 
 
 def aliased_constant_data():

@@ -282,6 +282,17 @@ class TestErrorHandling:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_stepwise_thresholds(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run_cli(
+            "baseline", "--data", str(pipeline["data"]), "--target", "y",
+            "--method", "stepwise", "--enter-f", "-1", "--exit-f", "-2",
+            "--out", str(out),
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "trajectory.json").exists()
+
     def test_bad_objective(self, pipeline, tmp_path, capsys):
         rc = run_cli(
             "run", "--data", str(pipeline["data"]), "--target", "y",

@@ -20,13 +20,19 @@ the fitted values.  Both digests cover:
   500x15 for 400 generations, 200x30 with 10-fold CV for 200
   generations, 500x100 for 10 generations), plus one run with
   ``archive=True`` and ``complexity_bounds``;
-- ``best_subset_table`` at k=12;
-- the steps and final models of forward, backward and stepwise selection.
+- ``best_subset_table`` at k=12, and at k=15 (``gen_correlated`` at 300
+  rows), where a size group spans more than one fitted chunk;
+- the steps and final models of forward, backward and stepwise selection,
+  on the k=12 data and on the same data with an exact copy of its first
+  column appended, whose full fit is rank deficient, so that backward
+  elimination starts from its greedy full-rank subset.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 from paretoreg.baselines import (
     backward_elimination,
@@ -34,6 +40,7 @@ from paretoreg.baselines import (
     forward_selection,
     stepwise_selection,
 )
+from paretoreg.data import Dataset
 from paretoreg.moga import GAConfig, run_moga
 from paretoreg.objectives import CROSS_VALIDATION, ObjectiveSpec
 from paretoreg.simdata import gen_correlated, truncate_predictors
@@ -58,10 +65,17 @@ def results():
     yield from _search(300, 20, 2, iterations=150, archive=True, complexity_bounds=(2, 12))
     small = _data(200, 12, 5)
     yield best_subset_table(small)
-    for method in (forward_selection, backward_elimination, stepwise_selection):
-        trajectory = method(small)
-        yield trajectory.steps
-        yield [trajectory.final]
+    yield best_subset_table(_data(300, 15, 6))
+    copied = Dataset(
+        X=np.column_stack((small.X, small.X[:, 0])),
+        y=small.y,
+        names=(*small.names, small.names[0] + "_copy"),
+    )
+    for data in (small, copied):
+        for method in (forward_selection, backward_elimination, stepwise_selection):
+            trajectory = method(data)
+            yield trajectory.steps
+            yield [trajectory.final]
 
 
 def main() -> None:
