@@ -118,7 +118,8 @@ class ObjectiveEvaluator:
     is the error.  For cross-validation the Gram matrix G = A'A of the
     centred augmented matrix A = [1, X - mean(X), y - mean(y)] is the
     statistics' Gram bordered by the intercept row and column (n, and
-    zeros: the centred columns sum to zero), and each fold's training
+    the centred columns' sums, which are zero only up to the rounding in
+    the means), and each fold's training
     Gram is G minus the held-out rows' own Gram.  Fresh masks are grouped
     by size, and every (fold, mask) system is scaled to unit diagonal,
     factored by one batched call of :func:`~paretoreg._kernels.gram_factor`
@@ -148,6 +149,7 @@ class ObjectiveEvaluator:
             A = np.column_stack((np.ones(data.n), stats.xct.T, stats.yc))
             gram = np.zeros((A.shape[1], A.shape[1]))
             gram[0, 0] = data.n
+            gram[0, 1:] = gram[1:, 0] = A[:, 1:].sum(axis=0)
             gram[1:, 1:] = stats.gram
             self._fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
             # held-out rows per fold, zero-padded to a common length; a

@@ -164,6 +164,23 @@ class TestGramCrossValidation:
         else:
             assert ev.svd_fallbacks > 0
 
+    def test_large_mean_response_matches_per_fold_lstsq(self):
+        # y - mean(y) sums to -n times the rounding in the mean, not to
+        # zero; with a mean of 1e9 and a spread of 1e-4 a fold Gram
+        # bordered by zero sums put the errors about 1e-6 off
+        gen = np.random.default_rng(7)
+        X = gen.standard_normal((1000, 6))
+        y = 1e9 + 1e-4 * (X[:, 0] - 0.5 * X[:, 3] + gen.standard_normal(1000))
+        masks = gen.random((100, 6)) < 0.5
+        data = Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(6)))
+        ev = ObjectiveEvaluator(data, ObjectiveSpec(kind=CROSS_VALIDATION, folds=5))
+        # y - 1e9 is exact, and a shift of y leaves every intercept fit's
+        # residuals unchanged
+        for mask, model in zip(masks, ev.evaluate_many(list(masks))):
+            want = lstsq_cv_error(X, y - 1e9, mask, ev.partition.folds)
+            assert model.objective.error == pytest.approx(want, rel=1e-12, abs=0)
+        assert ev.svd_fallbacks == 0
+
 
 class TestObjectiveEvaluator:
     def test_memoization_counts(self, toy_data):
