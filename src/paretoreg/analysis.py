@@ -22,6 +22,7 @@ from .moga import Snapshot
 from .objectives import aic as _aic
 from .objectives import bic as _bic
 from .pareto import Frontier
+from .serialize import csv_text
 
 KNEE_DISTANCE_THRESHOLD = 0.02
 
@@ -238,11 +239,7 @@ def os_plot(
         )
     )
 
-    lines = ["series,complexity,error"]
-    for name, xs, ys in series:
-        for xv, yv in zip(xs, ys):
-            lines.append(f"{name},{int(xv)},{float(yv)!r}")
-    csv_text = "\n".join(lines) + "\n"
+    rows = [(name, int(xv), float(yv)) for name, xs, ys in series for xv, yv in zip(xs, ys)]
 
     all_x = np.concatenate([s[1] for s in series])
     all_y = np.concatenate([s[2] for s in series])
@@ -317,7 +314,7 @@ def os_plot(
         )
     parts.append("</svg>")
     return OSPlot(
-        csv=csv_text,
+        csv=csv_text("series,complexity,error", rows),
         svg="\n".join(parts) + "\n",
         series_names=tuple(s[0] for s in series),
     )

@@ -17,11 +17,12 @@ plots.  All failures print ``error: ...`` to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analysis import criteria_scan, hs_plot, kappa_metric, knee_point, os_plot
@@ -35,8 +36,10 @@ from .data import load_csv, save_csv
 from .moga import GAConfig, run_moga
 from .objectives import CROSS_VALIDATION, IN_SAMPLE, ObjectiveSpec
 from .serialize import (
+    criteria_csv,
     frontier_csv,
     frontier_to_dict,
+    json_text,
     read_frontier_json,
     snapshots_csv,
     snapshots_from_csv,
@@ -62,64 +65,57 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
 def _parse_objective(text: str) -> ObjectiveSpec:
     if text == "insample":
         return ObjectiveSpec(kind=IN_SAMPLE)
-    if text.startswith("cv:"):
-        folds = int(text[3:])
-        return ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds)
-    raise ValueError(
-        f"objective must be 'insample' or 'cv:K', got {text!r}"
-    )
+    if text.startswith("cv:") and text[3:].isdecimal():
+        return ObjectiveSpec(kind=CROSS_VALIDATION, folds=int(text[3:]))
+    raise ValueError(f"objective must be 'insample' or 'cv:K', got {text!r}")
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _writer(out: str) -> Callable[[str, str | Callable[[str], None]], None]:
+    """Create ``out`` and return ``write(name, content)``: it writes the file ``name``
+    there, from its text or by ``content(path)``, and prints ``wrote <path>``."""
+    os.makedirs(out, exist_ok=True)
+
+    def write(name: str, content: str | Callable[[str], None]) -> None:
+        path = os.path.join(out, name)
+        if callable(content):
+            content(path)
+        else:
+            Path(path).write_text(content)
+        print(f"wrote {path}")
+
+    return write
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
+    write = _writer(args.out)
+    options = {"seed": args.seed}
+    if args.noise_sd is not None:
+        options["noise_sd"] = args.noise_sd
     if args.example == 1:
-        raw, truth = gen_additive(args.n, seed=args.seed, noise_sd=args.noise_sd)
+        raw, truth = gen_additive(args.n, **options)
         data = expand_features(raw)
     else:
-        p = args.p if args.p is not None else 100
-        raw, truth = gen_correlated(
-            args.n, p=p, seed=args.seed, noise_sd=args.noise_sd
-        )
-        data = raw
-    data_path = os.path.join(out, "data.csv")
-    truth_path = os.path.join(out, "truth.json")
-    save_csv(data, data_path)
-    _write_json(truth_path, truth_to_dict(truth))
-    print(f"wrote {data_path} ({data.n} rows, {data.k} predictors)")
-    print(f"wrote {truth_path}")
+        if args.p is not None:
+            options["p"] = args.p
+        data, truth = gen_correlated(args.n, **options)
+    print(f"example {args.example}: {data.n} rows, {data.k} predictors")
+    write("data.csv", lambda path: save_csv(data, path))
+    write("truth.json", json_text(truth_to_dict(truth)))
     return 0
 
 
-def _write_frontier(out, frontier, data, config_doc, stats_doc) -> str:
-    """Write ``frontier.json`` and ``frontier.csv`` into ``out``.
-
-    Returns the path of ``frontier.json``.
-    """
+def _write_frontier(write, frontier, data, config_doc, stats_doc) -> None:
+    """Write ``frontier.json`` and ``frontier.csv``."""
     doc = frontier_to_dict(
         frontier, data.names, data.target_name, data.n, config_doc, stats_doc
     )
-    path = os.path.join(out, "frontier.json")
-    write_frontier_json(path, doc)
-    Path(out, "frontier.csv").write_text(frontier_csv(frontier, data.names))
-    return path
-
-
-def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _load(args: argparse.Namespace):
-    return load_csv(args.data, args.target, header=not args.no_header)
+    write("frontier.json", lambda path: write_frontier_json(path, doc))
+    write("frontier.csv", frontier_csv(frontier, data.names))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
-    data = _load(args)
+    write = _writer(args.out)
+    data = load_csv(args.data, args.target, header=not args.no_header)
     objective = _parse_objective(args.objective)
     if objective.kind == CROSS_VALIDATION:
         # fold partition seed follows the run seed unless overridden
@@ -127,7 +123,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         objective = ObjectiveSpec(
             kind=CROSS_VALIDATION, folds=objective.folds, seed=cv_seed
         )
-    bounds = _parse_range(args.bounds, "--bounds") if args.bounds else None
     config = GAConfig(
         population_size=args.pop_size,
         iterations=args.iterations,
@@ -136,7 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         n_offspring=args.offspring,
         seed=args.seed,
         objective=objective,
-        complexity_bounds=bounds,
+        complexity_bounds=_parse_range(args.bounds, "--bounds") if args.bounds else None,
         snapshot_every=args.snapshot_every,
         archive=args.archive,
     )
@@ -154,48 +149,39 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_moga(data, config, progress=progress)
     elapsed = time.perf_counter() - start
 
+    # "objective" is named before the GAConfig fields to keep its place
+    # in the file; the in-sample objective has no folds or fold seed
     config_doc = {
         "data": os.path.abspath(args.data),
         "target": args.target,
         "header": not args.no_header,
-        "objective": {
-            "kind": objective.kind,
-            "folds": objective.folds if objective.kind == CROSS_VALIDATION else None,
-            "seed": objective.seed if objective.kind == CROSS_VALIDATION else None,
-        },
-        "population_size": result.config.population_size,
-        "iterations": config.iterations,
-        "crossover_prob": config.crossover_prob,
-        "mutation_prob": result.config.mutation_prob,
-        "n_offspring": result.config.n_offspring,
-        "seed": config.seed,
-        "complexity_bounds": list(bounds) if bounds else None,
-        "snapshot_every": config.snapshot_every,
-        "archive": config.archive,
+        "objective": None,
+        **dataclasses.asdict(result.config),
     }
+    if objective.kind == IN_SAMPLE:
+        config_doc["objective"].update(folds=None, seed=None)
     stats_doc = {
         "generations": result.generations,
         "evaluations": result.evaluations,
         "unique_models": result.unique_models,
         "runtime_seconds": round(elapsed, 3),
     }
-    frontier_path = _write_frontier(out, result.frontier, data, config_doc, stats_doc)
-    _write_json(os.path.join(out, "run.json"), {"config": config_doc, "stats": stats_doc})
-    if result.snapshots:
-        Path(out, "snapshots.csv").write_text(snapshots_csv(result.snapshots))
     print(
         f"frontier: {len(result.frontier)} models, complexities "
         f"{result.frontier.complexities[0]}..{result.frontier.complexities[-1]}, "
         f"{result.evaluations} evaluations ({result.unique_models} unique) "
         f"in {elapsed:.1f}s"
     )
-    print(f"wrote {frontier_path}")
+    _write_frontier(write, result.frontier, data, config_doc, stats_doc)
+    write("run.json", json_text({"config": config_doc, "stats": stats_doc}))
+    if result.snapshots:
+        write("snapshots.csv", snapshots_csv(result.snapshots))
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
-    data = _load(args)
+    write = _writer(args.out)
+    data = load_csv(args.data, args.target, header=not args.no_header)
     if args.method == "exhaustive":
         frontier = exhaustive_frontier(
             data, max_complexity=args.max_complexity, force=args.force
@@ -206,9 +192,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             "method": "exhaustive",
             "max_complexity": args.max_complexity,
         }
-        path = _write_frontier(out, frontier, data, config_doc, {})
         print(f"frontier: {len(frontier)} models")
-        print(f"wrote {path}")
+        _write_frontier(write, frontier, data, config_doc, {})
         return 0
 
     if args.method == "forward":
@@ -219,56 +204,32 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         traj = stepwise_selection(
             data, enter_threshold=args.enter_f, exit_threshold=args.exit_f
         )
-    path = os.path.join(out, "trajectory.json")
-    _write_json(path, trajectory_to_dict(traj, data.names))
-    Path(out, "trajectory.csv").write_text(trajectory_csv(traj, data.names))
     print(
         f"{args.method}: {len(traj.steps)} steps, final model has "
         f"{traj.final.objective.complexity} variables "
         f"(error {traj.final.objective.error:.6g})"
     )
-    print(f"wrote {path}")
+    write("trajectory.json", json_text(trajectory_to_dict(traj, data.names)))
+    write("trajectory.csv", trajectory_csv(traj, data.names))
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    out = _ensure_out(args.out)
+    write = _writer(args.out)
     docs = [read_frontier_json(p) for p in args.frontier]
     primary = docs[0]
 
     if args.task == "knee":
         knee = knee_point(primary.frontier)
-        doc = {
-            "complexity": knee.complexity,
-            "distance": knee.distance,
-            "pronounced": knee.pronounced,
-        }
-        path = os.path.join(out, "knee.json")
-        _write_json(path, doc)
         note = "" if knee.pronounced else " (no pronounced knee)"
         print(f"knee at complexity {knee.complexity}{note}")
-        print(f"wrote {path}")
-        return 0
-
-    if args.task == "criteria":
+        write("knee.json", json_text(dataclasses.asdict(knee)))
+    elif args.task == "criteria":
         scan = criteria_scan(primary.frontier, primary.n)
-        lines = ["complexity,mse,aic,bic,aic_min,bic_min"]
-        for row in scan.rows:
-            aic_s = "" if row.aic is None else repr(row.aic)
-            bic_s = "" if row.bic is None else repr(row.bic)
-            lines.append(
-                f"{row.complexity},{row.mse!r},{aic_s},{bic_s},"
-                f"{int(row.complexity == scan.aic_argmin)},"
-                f"{int(row.complexity == scan.bic_argmin)}"
-            )
-        path = os.path.join(out, "criteria.csv")
-        Path(path).write_text("\n".join(lines) + "\n")
         print(f"AIC argmin complexity: {scan.aic_argmin}")
         print(f"BIC argmin complexity: {scan.bic_argmin}")
-        print(f"wrote {path}")
-        return 0
-
-    if args.task == "kappa":
+        write("criteria.csv", criteria_csv(scan))
+    elif args.task == "kappa":
         if not args.eval_data:
             raise ValueError("--task kappa requires --eval-data")
         if len(args.eval_data) != len(docs):
@@ -283,37 +244,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for p in args.eval_data
         ]
         value = kappa_metric([d.frontier for d in docs], eval_sets, lo, hi)
-        path = os.path.join(out, "kappa.json")
-        _write_json(path, {"kappa": value, "range": [lo, hi], "pairs": len(docs)})
         print(f"kappa over complexities [{lo}, {hi}]: {value:.6g}")
-        print(f"wrote {path}")
-        return 0
-
-    if args.task == "osplot":
+        write("kappa.json", json_text({"kappa": value, "range": [lo, hi], "pairs": len(docs)}))
+    elif args.task == "osplot":
         snapshots = ()
         if args.snapshots:
-            with open(args.snapshots) as fh:
-                snapshots = snapshots_from_csv(fh.read())
+            snapshots = snapshots_from_csv(Path(args.snapshots).read_text())
         plot = os_plot(primary.frontier, snapshots, log_y=args.log_y)
-        csv_path = os.path.join(out, "os_plot.csv")
-        svg_path = os.path.join(out, "os_plot.svg")
-        Path(csv_path).write_text(plot.csv)
-        Path(svg_path).write_text(plot.svg)
-        print(f"wrote {csv_path} and {svg_path}")
-        return 0
-
-    if args.task == "hsplot":
+        write("os_plot.csv", plot.csv)
+        write("os_plot.svg", plot.svg)
+    else:
         rng = _parse_range(args.range, "--range") if args.range else None
         plot = hs_plot(primary.frontier, primary.names, complexity_range=rng)
-        txt_path = os.path.join(out, "hs_plot.txt")
-        svg_path = os.path.join(out, "hs_plot.svg")
-        Path(txt_path).write_text(plot.text)
-        Path(svg_path).write_text(plot.svg)
         print(plot.text, end="")
-        print(f"wrote {txt_path} and {svg_path}")
-        return 0
-
-    raise ValueError(f"unknown analyze task {args.task!r}")
+        write("hs_plot.txt", plot.text)
+        write("hs_plot.svg", plot.svg)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.noise_sd is None:
-        args.noise_sd = 0.2 if args.example == 1 else 1.0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,8 @@
 """JSON and CSV serialisation of frontiers, trajectories and ground truth.
 
+Every file the CLI writes gets its text from :func:`json_text` or
+:func:`csv_text`, or from ``save_csv`` for a dataset.
+
 ``frontier.json`` is the interchange document between the search and
 analysis stages.  Layout (schema tag ``paretoreg-frontier/1``)::
 
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +38,22 @@ from .moga import Snapshot
 from .pareto import Frontier
 from .simdata import TrueModel
 
+if TYPE_CHECKING:
+    from .analysis import CriteriaScan
+
 FRONTIER_SCHEMA = "paretoreg-frontier/1"
+
+
+def json_text(doc: Any) -> str:
+    """The JSON file form of ``doc``: two-space indent, final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_text(header: str, rows: Iterable[Sequence[Any]]) -> str:
+    """``header``, then one line per row: its fields by ``str`` (a float's
+    exact ``repr``), comma-joined and unquoted, so none may hold a comma."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _model_to_dict(model: EvaluatedModel, names: Sequence[str]) -> dict[str, Any]:
@@ -90,44 +109,47 @@ def frontier_to_dict(
 
 
 def frontier_from_dict(doc: dict[str, Any]) -> FrontierDoc:
+    """Parse a ``frontier.json`` document; a malformed one raises ``ValueError``."""
     if doc.get("schema") != FRONTIER_SCHEMA:
         raise ValueError(
             f"unsupported frontier schema {doc.get('schema')!r}, "
             f"expected {FRONTIER_SCHEMA!r}"
         )
-    models = tuple(_model_from_dict(d) for d in doc["models"])
+    try:
+        models = tuple(_model_from_dict(d) for d in doc["models"])
+        names = tuple(doc["data"]["names"])
+        n = int(doc["data"]["n"])
+    except KeyError as exc:
+        raise ValueError(f"frontier document has no {exc.args[0]!r} field") from None
+    lengths = {m.mask.shape[0] for m in models} - {len(names)}
+    if lengths:
+        raise ValueError(f"{len(names)} names for masks of length {min(lengths)}")
     return FrontierDoc(
         frontier=Frontier(models=models),
-        names=tuple(doc["data"]["names"]),
+        names=names,
         target=str(doc["data"].get("target", "y")),
-        n=int(doc["data"]["n"]),
+        n=n,
         config=dict(doc.get("config", {})),
         stats=dict(doc.get("stats", {})),
     )
 
 
 def write_frontier_json(path: str, doc: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_text(doc))
 
 
 def read_frontier_json(path: str) -> FrontierDoc:
-    with open(path) as fh:
-        return frontier_from_dict(json.load(fh))
+    return frontier_from_dict(json.loads(Path(path).read_text()))
 
 
 def frontier_csv(frontier: Frontier, names: Sequence[str]) -> str:
     """Flat CSV view of a frontier, one model per row."""
-    lines = ["complexity,error,intercept,mask,variables,coefficients"]
-    for m in frontier:
-        variables = ";".join(m.selected_names(names))
-        coefs = ";".join(repr(float(c)) for c in m.coefficients)
-        lines.append(
-            f"{m.objective.complexity},{float(m.objective.error)!r},"
-            f"{float(m.intercept)!r},{mask_to_string(m.mask)},{variables},{coefs}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (m.objective.complexity, float(m.objective.error), m.intercept, mask_to_string(m.mask),
+         ";".join(m.selected_names(names)), ";".join(repr(float(c)) for c in m.coefficients))
+        for m in frontier
+    ]
+    return csv_text("complexity,error,intercept,mask,variables,coefficients", rows)
 
 
 def trajectory_to_dict(traj: Trajectory, names: Sequence[str]) -> dict[str, Any]:
@@ -140,14 +162,12 @@ def trajectory_to_dict(traj: Trajectory, names: Sequence[str]) -> dict[str, Any]
 
 
 def trajectory_csv(traj: Trajectory, names: Sequence[str]) -> str:
-    lines = ["step,complexity,error,mask,variables"]
-    for i, m in enumerate(traj.steps, start=1):
-        variables = ";".join(m.selected_names(names))
-        lines.append(
-            f"{i},{m.objective.complexity},{float(m.objective.error)!r},"
-            f"{mask_to_string(m.mask)},{variables}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (i, m.objective.complexity, float(m.objective.error), mask_to_string(m.mask),
+         ";".join(m.selected_names(names)))
+        for i, m in enumerate(traj.steps, start=1)
+    ]
+    return csv_text("step,complexity,error,mask,variables", rows)
 
 
 def truth_to_dict(truth: TrueModel) -> dict[str, Any]:
@@ -175,21 +195,42 @@ def truth_from_dict(doc: dict[str, Any]) -> TrueModel:
 
 
 def snapshots_csv(snapshots: Sequence[Snapshot]) -> str:
-    lines = ["generation,complexity,error"]
-    for snap in snapshots:
-        for c, e in zip(snap.complexities, snap.errors):
-            lines.append(f"{snap.generation},{c},{float(e)!r}")
-    return "\n".join(lines) + "\n"
+    rows = [
+        (snap.generation, c, float(e))
+        for snap in snapshots
+        for c, e in zip(snap.complexities, snap.errors)
+    ]
+    return csv_text("generation,complexity,error", rows)
 
 
 def snapshots_from_csv(text: str) -> tuple[Snapshot, ...]:
-    rows = [ln.split(",") for ln in text.strip().splitlines()[1:] if ln]
     by_gen: dict[int, tuple[list[int], list[float]]] = {}
-    for gen, c, e in rows:
-        bucket = by_gen.setdefault(int(gen), ([], []))
-        bucket[0].append(int(c))
-        bucket[1].append(float(e))
+    for lineno, line in enumerate(text.strip().splitlines()[1:], start=2):
+        if not line:
+            continue
+        try:
+            gen, c, e = line.split(",")
+            gen, c, e = int(gen), int(c), float(e)
+        except ValueError:
+            raise ValueError(
+                f"snapshots line {lineno}: expected generation,complexity,error, "
+                f"got {line!r}"
+            ) from None
+        bucket = by_gen.setdefault(gen, ([], []))
+        bucket[0].append(c)
+        bucket[1].append(e)
     return tuple(
         Snapshot(generation=g, complexities=tuple(cs), errors=tuple(es))
         for g, (cs, es) in sorted(by_gen.items())
     )
+
+
+def criteria_csv(scan: CriteriaScan) -> str:
+    """``criteria.csv``: the scan's rows, an empty field for an undefined
+    criterion, and 0/1 marks on the AIC and BIC minima."""
+    rows = [
+        (r.complexity, r.mse, "" if r.aic is None else r.aic, "" if r.bic is None else r.bic,
+         int(r.complexity == scan.aic_argmin), int(r.complexity == scan.bic_argmin))
+        for r in scan.rows
+    ]
+    return csv_text("complexity,mse,aic,bic,aic_min,bic_min", rows)

@@ -112,6 +112,12 @@ class TestRun:
         assert config["mutation_prob"] == 1 / 6
         assert config["n_offspring"] == 6
         assert config["iterations"] == 500
+        assert list(config) == [
+            "data", "target", "header", "objective", "population_size", "iterations",
+            "crossover_prob", "mutation_prob", "n_offspring", "seed",
+            "complexity_bounds", "snapshot_every", "archive",
+        ]
+        assert config["objective"] == {"kind": "in_sample", "folds": None, "seed": None}
         run = json.loads((out / "run.json").read_text())
         assert run["config"] == config
         assert run["stats"] == doc["stats"]
@@ -301,6 +307,27 @@ class TestErrorHandling:
         assert rc == 1
         assert "objective" in capsys.readouterr().err
 
+    def test_non_integer_folds(self, pipeline, tmp_path, capsys):
+        rc = run_cli(
+            "run", "--data", str(pipeline["data"]), "--target", "y",
+            "--objective", "cv:abc", "--out", str(tmp_path / "o"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: objective must be 'insample' or 'cv:K', got 'cv:abc'\n"
+
+    def test_frontier_without_models(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline["run"] / "frontier.json").read_text())
+        del doc["models"]
+        bad = tmp_path / "frontier.json"
+        bad.write_text(json.dumps(doc))
+        rc = run_cli(
+            "analyze", "--frontier", str(bad), "--task", "knee",
+            "--out", str(tmp_path / "o"),
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: frontier document has no 'models' field\n"
+
     def test_bad_bounds(self, pipeline, tmp_path, capsys):
         rc = run_cli(
             "run", "--data", str(pipeline["data"]), "--target", "y",
@@ -334,6 +361,79 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
+
+
+def written(capsys, out, *argv):
+    """Run one subcommand into ``out``; the names of the files it wrote.
+
+    Every file in ``out`` must be reported by exactly one ``wrote`` line.
+    """
+    assert run_cli(*argv, "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reported = [ln[len("wrote "):] for ln in lines if ln.startswith("wrote ")]
+    assert sorted(reported) == sorted(str(f) for f in out.iterdir())
+    return {f.name for f in out.iterdir()}
+
+
+class TestOutputFiles:
+    def test_each_subcommand_writes_its_files(self, tmp_path, capsys):
+        sim, run = tmp_path / "sim", tmp_path / "run"
+        data = ["--data", str(sim / "data.csv"), "--target", "y"]
+        front = ["--frontier", str(run / "frontier.json")]
+        assert written(
+            capsys, sim, "simulate", "--example", "2", "--n", "60", "--p", "10"
+        ) == {"data.csv", "truth.json"}
+        assert written(
+            capsys, run, "run", *data, "--iterations", "20", "--snapshot-every", "10"
+        ) == {"frontier.json", "frontier.csv", "run.json", "snapshots.csv"}
+        assert written(capsys, tmp_path / "plain", "run", *data, "--iterations", "5") == {
+            "frontier.json", "frontier.csv", "run.json",
+        }
+        assert written(
+            capsys, tmp_path / "exh", "baseline", *data, "--method", "exhaustive"
+        ) == {"frontier.json", "frontier.csv"}
+        for method in ("forward", "backward", "stepwise"):
+            assert written(
+                capsys, tmp_path / method, "baseline", *data, "--method", method
+            ) == {"trajectory.json", "trajectory.csv"}
+        tasks = {
+            ("knee",): {"knee.json"},
+            ("criteria",): {"criteria.csv"},
+            ("kappa", "--eval-data", str(sim / "data.csv"), "--range", "1:4"): {
+                "kappa.json"
+            },
+            ("osplot", "--snapshots", str(run / "snapshots.csv")): {
+                "os_plot.csv", "os_plot.svg",
+            },
+            ("hsplot",): {"hs_plot.txt", "hs_plot.svg"},
+        }
+        for task, files in tasks.items():
+            out = tmp_path / task[0]
+            assert written(capsys, out, "analyze", *front, "--task", *task) == files
+
+    def test_frontier_csv_rows_match_json_models(self, pipeline):
+        models = json.loads((pipeline["run"] / "frontier.json").read_text())["models"]
+        lines = (pipeline["run"] / "frontier.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(models) >= 3
+        for line, m in zip(lines, models):
+            c, err, b0, mask, variables, coefs = line.split(",")
+            assert (c, err, b0, mask) == (
+                str(m["complexity"]), repr(m["error"]), repr(m["intercept"]), m["mask"],
+            )
+            assert variables == ";".join(m["variables"])
+            assert coefs == ";".join(map(repr, m["coefficients"]))
+
+    def test_criteria_csv_follows_frontier(self, pipeline, tmp_path):
+        frontier = pipeline["run"] / "frontier.json"
+        out = tmp_path / "crit"
+        assert run_cli(
+            "analyze", "--frontier", str(frontier), "--task", "criteria", "--out", str(out)
+        ) == 0
+        models = json.loads(frontier.read_text())["models"]
+        lines = (out / "criteria.csv").read_text().splitlines()[1:]
+        assert [ln.split(",")[:2] for ln in lines] == [
+            [str(m["complexity"]), repr(m["error"])] for m in models
+        ]
 
 
 class TestConsoleScript:

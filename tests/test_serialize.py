@@ -103,6 +103,23 @@ class TestFrontierDocRoundTrip:
         with pytest.raises(ValueError):
             frontier_from_dict(doc)
 
+    @pytest.mark.parametrize("drop", ["models", "data", "mask", "coefficients"])
+    def test_missing_field_rejected_by_name(self, awkward_frontier, drop):
+        doc = frontier_to_dict(awkward_frontier, NAMES, "y", 10, {}, {})
+        if drop in doc:
+            del doc[drop]
+        else:
+            del doc["models"][1][drop]
+        with pytest.raises(ValueError, match=f"no '{drop}' field"):
+            frontier_from_dict(doc)
+
+    @pytest.mark.parametrize("names", [NAMES[:3], NAMES + ("e",)])
+    def test_names_must_match_mask_length(self, awkward_frontier, names):
+        doc = frontier_to_dict(awkward_frontier, NAMES, "y", 10, {}, {})
+        doc["data"]["names"] = list(names)
+        with pytest.raises(ValueError, match=f"{len(names)} names for masks of length 4"):
+            frontier_from_dict(doc)
+
 
 class TestFrontierCsv:
     def test_rows_parse_and_round_trip(self, awkward_frontier):
@@ -179,3 +196,9 @@ class TestSnapshotsCsv:
 
     def test_empty(self):
         assert snapshots_from_csv(snapshots_csv(())) == ()
+
+    @pytest.mark.parametrize("bad", ["0,2", "0,2,0.5,7", "0,two,0.5"])
+    def test_malformed_row_names_its_line(self, bad):
+        text = f"generation,complexity,error\n0,1,0.75\n{bad}\n"
+        with pytest.raises(ValueError, match=f"snapshots line 3: .*{bad!r}"):
+            snapshots_from_csv(text)

@@ -1,4 +1,4 @@
-"""Print two sha256 digests over the search and baseline results on fixed inputs.
+"""Print three sha256 digests over the search, baseline and CLI results on fixed inputs.
 
     PYTHONPATH=src python3 tools/frontier_digest.py
 
@@ -26,14 +26,33 @@ the fitted values.  Both digests cover:
   on the k=12 data and on the same data with an exact copy of its first
   column appended, whose full fit is rank deficient, so that backward
   elimination starts from its greedy full-rank subset.
+
+The third line covers every file that a fixed ``paretoreg`` pipeline
+writes: its name relative to the pipeline's directory, then its bytes.
+The pipeline simulates both examples, runs an in-sample search with
+snapshots and a CV search with ``--bounds`` and ``--archive``, runs all
+four baselines and all five ``analyze`` tasks.  Two values are masked
+first, because they differ from run to run: ``runtime_seconds`` and the
+absolute ``data`` path in ``frontier.json`` and ``run.json``.  Equal
+third lines mean byte-identical output files.  The files hold fitted
+values, so compare third lines under the same BLAS thread setting too,
+although on 2 vCPUs this pipeline's line reads the same at 1 and 2
+threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from paretoreg import cli
 from paretoreg.baselines import (
     backward_elimination,
     best_subset_table,
@@ -78,6 +97,64 @@ def results():
             yield [trajectory.final]
 
 
+def _pipeline(root: str) -> list[list[str]]:
+    """The fixed ``paretoreg`` command lines, each writing under ``root``."""
+
+    def at(*parts: str) -> str:
+        return os.path.join(root, *parts)
+
+    data1, data2 = at("sim1", "data.csv"), at("sim2", "data.csv")
+    front = at("run", "frontier.json")
+    runs = [
+        ["simulate", "--example", "1", "--n", "80", "--seed", "4", "--out", at("sim1")],
+        ["simulate", "--example", "2", "--n", "150", "--p", "12", "--seed", "3",
+         "--out", at("sim2")],
+        ["run", "--data", data2, "--target", "y", "--iterations", "60", "--seed", "1",
+         "--snapshot-every", "20", "--out", at("run")],
+        ["run", "--data", data1, "--target", "y", "--objective", "cv:4",
+         "--iterations", "30", "--seed", "2", "--bounds", "2:8", "--archive",
+         "--out", at("cv")],
+    ]
+    for method in ("exhaustive", "forward", "backward", "stepwise"):
+        runs.append(
+            ["baseline", "--data", data2, "--target", "y", "--method", method,
+             "--out", at(method)]
+        )
+    runs += [
+        ["analyze", "--frontier", front, "--task", "knee", "--out", at("knee")],
+        ["analyze", "--frontier", front, "--task", "criteria", "--out", at("criteria")],
+        ["analyze", "--frontier", front, at("exhaustive", "frontier.json"),
+         "--task", "kappa", "--eval-data", data2, data2, "--range", "2:6",
+         "--out", at("kappa")],
+        ["analyze", "--frontier", front, "--task", "osplot", "--snapshots",
+         at("run", "snapshots.csv"), "--log-y", "--out", at("osplot")],
+        ["analyze", "--frontier", at("cv", "frontier.json"), "--task", "hsplot",
+         "--range", "2:6", "--out", at("hsplot")],
+    ]
+    return runs
+
+
+_VOLATILE = re.compile(rb'("runtime_seconds": )[^,\n}]+|("data": )"[^"]*"')
+
+
+def cli_files() -> list[tuple[str, bytes]]:
+    """(relative path, masked bytes) of every file the pipeline writes."""
+    with tempfile.TemporaryDirectory() as root:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in _pipeline(root):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"paretoreg {' '.join(argv)} failed")
+        files = []
+        for folder, _, names in os.walk(root):
+            for name in names:
+                path = os.path.join(folder, name)
+                masked = _VOLATILE.sub(
+                    lambda m: (m.group(1) or m.group(2)) + b"0", Path(path).read_bytes()
+                )
+                files.append((os.path.relpath(path, root), masked))
+    return sorted(files)
+
+
 def main() -> None:
     full = hashlib.sha256()
     masks = hashlib.sha256()
@@ -93,6 +170,10 @@ def main() -> None:
         masks.update(b"|")
     print(full.hexdigest())
     print(masks.hexdigest())
+    outputs = hashlib.sha256()
+    for name, data in cli_files():
+        outputs.update(name.encode() + b"\0" + data + b"|")
+    print(outputs.hexdigest())
 
 
 if __name__ == "__main__":
