@@ -9,7 +9,9 @@ systems of a group are solved together by :func:`gram_factor` and
 :func:`gram_apply`, followed by one step of iterative refinement against
 the residual on the n rows.  The cross-validation fold downdates scale
 their stacked systems by :func:`unit_diagonal` and solve them with the
-same two functions.
+same two functions.  :func:`drop_scores`, which bounds the best-subset
+search, takes the same refined fit and adds the RSS after dropping each
+column.
 
 Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 20), so a
@@ -48,6 +50,15 @@ SSE_ZERO_FACTOR = 10.0
 # same-size systems (in ols_batch the gathered columns, the systems and
 # the residuals); larger groups are solved chunk by chunk.
 CHUNK_ELEMENTS = 1 << 16
+
+
+def chunk_size(d: int, n: int) -> int:
+    """Systems of d columns on n rows per chunk (at least one).
+
+    A chunk's gathered columns, systems and residuals then hold at most
+    ``CHUNK_ELEMENTS`` elements.
+    """
+    return max(1, CHUNK_ELEMENTS // (d * (d + n) + n))
 
 
 def active_backend() -> str:
@@ -169,7 +180,7 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     fits = []
     offset = 0
     for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
-        step = max(1, CHUNK_ELEMENTS // (d * (d + n) + n))
+        step = chunk_size(d, n)
         for lo in range(0, count, step):
             size = min(step, count - lo)
             cols = columns[offset + lo * d : offset + (lo + size) * d]
@@ -217,16 +228,48 @@ def _gram_fit(stats: GramStats, cols: np.ndarray):
     if d == 0:
         mse = float(yc @ yc) / yc.size
         return np.full(m, stats.y_mean), np.zeros(0), np.full(m, mse), np.ones(m, bool)
-    factor = gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
-    beta = gram_apply(factor, stats.gram[cols, -1])
-    xs = stats.xct[cols]
-    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
-    # one step of iterative refinement with the same factor
-    beta += gram_apply(factor, (xs @ resid[:, :, None])[:, :, 0])
-    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
+    factor, beta, resid = _refined_solve(stats, cols)
     mse = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / yc.size
     b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
     return b0, beta.ravel(), mse, factor.ok
+
+
+def _refined_solve(stats: GramStats, cols: np.ndarray):
+    """Factor, coefficients and residuals of same-size systems (d >= 1).
+
+    The coefficients get one step of iterative refinement against the
+    residual on the n rows, with the same factor.
+    """
+    factor = gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
+    beta = gram_apply(factor, stats.gram[cols, -1])
+    xs = stats.xct[cols]
+    resid = stats.yc - (beta[:, None, :] @ xs)[:, 0, :]
+    beta += gram_apply(factor, (xs @ resid[:, :, None])[:, :, 0])
+    resid = stats.yc - (beta[:, None, :] @ xs)[:, 0, :]
+    return factor, beta, resid
+
+
+def drop_scores(stats: GramStats, cols: np.ndarray):
+    """Residual sums of squares of same-size column sets, and after each drop.
+
+    ``cols`` (m, d) lists each set's columns.  Returns ``rss`` (m,), the
+    RSS of each set from its refined residual as :func:`ols_batch` fits
+    it; ``dropped`` (m, d), the RSS after removing each listed column,
+    RSS(S without j) = RSS(S) + beta_j^2 / [G^-1]_jj (Furnival & Wilson,
+    *Technometrics* 16:499-511, 1974); and ``ok`` (m,), which systems
+    passed the fallback rule.  Where ``ok`` is False, ``rss`` and
+    ``dropped`` hold no score.  Nothing is floored at the SSE zero floor.
+    """
+    m, d = cols.shape
+    if d == 0:
+        rss = float(stats.yc @ stats.yc)
+        return np.full(m, rss), np.zeros((m, 0)), np.ones(m, dtype=np.bool_)
+    factor, beta, resid = _refined_solve(stats, cols)
+    rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    # G^-1 = m_inv' m_inv, so its diagonal is the column sums of m_inv^2
+    inv_diag = (factor.m_inv * factor.m_inv).sum(axis=1)
+    inv_diag[~factor.ok] = 1.0
+    return rss, rss[:, None] + beta * beta / inv_diag, factor.ok
 
 
 def _cholesky(C):

@@ -1,7 +1,8 @@
 """Classical subset-selection baselines.
 
-Exhaustive search reports the best model at every complexity, which is
-the ground-truth frontier for small predictor counts.  Forward, backward
+Best-subset search reports the best model at every complexity, found by
+branch and bound but exactly as full enumeration would; it is the
+ground-truth frontier for small predictor counts.  Forward, backward
 and stepwise selection are the textbook partial-F procedures; they return
 a single path through model space rather than a frontier.
 """
@@ -14,23 +15,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import CHUNK_ELEMENTS, GramStats, is_zero_error, ols_batch
+from ._kernels import (
+    SSE_ZERO_FACTOR,
+    GramStats,
+    chunk_size,
+    drop_scores,
+    is_zero_error,
+    ols_batch,
+)
 from .data import Dataset, EvaluatedModel
 from .pareto import Frontier
 
 EXHAUSTIVE_K_LIMIT = 25
 
-
-def _chunked_combinations(k: int, d: int, chunk: int):
-    it = itertools.combinations(range(k), d)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        masks = np.zeros((len(block), k), dtype=np.bool_)
-        cols = np.array(block, dtype=np.intp).reshape(len(block), d)
-        masks[np.arange(len(block))[:, None], cols] = True
-        yield masks
+# Relative margin of the bound tests in best_subset_table.  A score is
+# an RSS that ols_batch computes, an RSS from a refined residual on the
+# Gram path (ols_batch's own arithmetic, good to a few eps relative or to
+# rounding far below the SSE zero floor), or such an RSS plus one drop
+# increment beta_j^2 / [G^-1]_jj.  The increment comes from a system that
+# passed the fallback rule: beta_j is refined and [G^-1]_jj is not, so the
+# increment, which is at most the child's RSS, carries the unrefined
+# factor's forward error, about GRAM_COND_MAX * eps ~ 2.2e-10 of it (the
+# largest seen against ols_batch, over 2,000 random systems near that
+# limit, was 2.4e-10).  A test weighs two scores, each at most one drop
+# step from ols_batch's RSS, so 1e-9 covers both errors and ols_batch's
+# own.  The SSE zero floor, added to every bound, keeps tied every mask
+# that ols_batch reports at 0.0.
+_MARGIN = 1e-9
 
 
 def best_subset_table(
@@ -40,11 +51,24 @@ def best_subset_table(
 ) -> list[EvaluatedModel]:
     """Best in-sample model at every complexity 0..max_complexity.
 
-    Enumerates all masks of each size and keeps the minimum-error one
-    (ties go to the lexicographically smallest bit pattern).  Cost grows
-    as 2^k, so k above 25 is refused unless ``force=True``.  Masks are
-    fitted in chunks whose coefficient block holds at most
-    ``CHUNK_ELEMENTS`` entries, which bounds memory at large k.
+    The lowest-error mask of each size wins, and a tie goes to the
+    lexicographically smallest bit pattern, exactly as if every mask were
+    fitted.  The search is Furnival & Wilson's branch and bound
+    ("Regressions by leaps and bounds", *Technometrics* 16:499-511, 1974)
+    over a deletion tree.  The RSS of a set bounds that of each of its
+    subsets, so a subtree is skipped when its root's RSS exceeds, beyond
+    a margin, the best found at every size the subtree reaches; one factor
+    of a node scores all its children.  The masks that end within the
+    margin of the best of their size are refitted by ``ols_batch`` and
+    compared on its errors.
+
+    The cost grows with the number of masks that come near the best of
+    their size, not as 2^k: a few hundred factors at k=15 on noisy data,
+    but every superset of the fitting columns when many masks fit
+    exactly, and every node from the full set down when its systems fail
+    the fallback rule (p > n).  It never exceeds one factor per mask of
+    size at most ``max_complexity``, since the tree starts from the sets
+    of that size.  k above 25 is refused unless ``force=True``.
     """
     k = data.k
     d_max = k if max_complexity is None else max_complexity
@@ -56,19 +80,89 @@ def best_subset_table(
             f"(limit {EXHAUSTIVE_K_LIMIT})"
         )
 
+    n = data.n
     stats = GramStats.of(data.X, data.y)
-    table: list[EvaluatedModel] = []
+    floor = SSE_ZERO_FACTOR * n * np.finfo(np.float64).eps * float(stats.gram[-1, -1])
+    # positions in the tree run over the columns by drop cost in the full
+    # model, most costly first, so that the large subtrees, which delete
+    # the costly columns, have high roots; the order never moves a result
+    _, costs, ok = drop_scores(stats, np.arange(k)[None, :])
+    order = np.argsort(-costs[0], kind="stable") if ok[0] else np.arange(k)
+    best = np.full(d_max + 1, np.inf)
+    # (score, positions) of every mask scored within the margin of the
+    # best of its size at the time
+    near: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(d_max + 1)]
+    # a node is (score, positions kept, last deleted position, whether
+    # the score bounds the subtree); the free positions, which its
+    # subtree may delete, are last + 1 .. k - 1
+    stack: list[tuple[float, tuple[int, ...], int, bool]] = []
+
+    def limit(score):
+        return (score + floor) * (1.0 + _MARGIN)
+
+    def masks_of(sets):
+        masks = np.zeros((len(sets), k), dtype=np.bool_)
+        for row, positions in zip(masks, sets):
+            row[order[list(positions)]] = True
+        return masks
+
+    def fitted(sets):
+        return ols_batch(data.X, data.y, masks_of(sets), stats=stats)[2] * n
+
+    def record(sets, scores):
+        for positions, score in zip(sets, scores.tolist()):
+            d = len(positions)
+            best[d] = min(best[d], score)
+            if score <= limit(best[d]):
+                near[d].append((score, positions))
+
+    def expand(nodes):
+        """Score the children of same-size nodes, and push the inner ones.
+
+        A node whose system fails the fallback rule has its children
+        fitted by ``ols_batch``, and they bound nothing: where the SVD
+        fits take over, the computed RSS need not grow as columns go.
+        """
+        sets = [positions for positions, _ in nodes]
+        cols = order[np.array(sets, dtype=np.intp).reshape(len(sets), -1)]
+        rss, dropped, ok = drop_scores(stats, cols)
+        for (positions, last), drops, good in zip(nodes, dropped, ok.tolist()):
+            first = len(positions) - (k - 1 - last)
+            children = [positions[:i] + positions[i + 1 :] for i in range(first, len(positions))]
+            if not children:
+                continue
+            scores = drops[first:] if good else fitted(children)
+            record(children, scores)
+            # worst first, so that the best child is expanded next
+            for i in np.argsort(-scores, kind="stable").tolist():
+                if positions[first + i] < k - 1:
+                    stack.append((scores[i], children[i], positions[first + i], good))
+        return rss, ok
+
+    # the tree starts at every set of d_max positions; a smaller set hangs
+    # below the one root that adds back its largest missing positions
+    roots = itertools.combinations(range(k), d_max)
+    while block := list(itertools.islice(roots, chunk_size(d_max, n))):
+        nodes = [(c, max(set(range(k)).difference(c), default=-1)) for c in block]
+        rss, ok = expand(nodes)
+        if not ok.all():
+            rss[~ok] = fitted([c for c, good in zip(block, ok) if not good])
+        record(block, rss)
+    while stack:
+        score, positions, last, bounding = stack.pop()
+        size = len(positions)
+        if bounding and score > limit(best[size - (k - 1 - last) : size].max()):
+            continue
+        expand([(positions, last)])
+
+    sets = [p for d in range(d_max + 1) for s, p in near[d] if s <= limit(best[d])]
+    masks = masks_of(sets)
+    intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=stats)
+    sizes = masks.sum(axis=1)
+    table = []
     for d in range(d_max + 1):
-        best = None
-        for masks in _chunked_combinations(k, d, max(1, CHUNK_ELEMENTS // k)):
-            intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=stats)
-            # masks come in descending bit-pattern order, so the last
-            # minimum is the smallest mask of the chunk, and a later chunk
-            # wins a tie against an earlier one
-            i = mses.size - 1 - int(np.argmin(mses[::-1]))
-            if best is None or mses[i] <= best[3]:
-                best = (masks[i], intercepts[i], coefs[i], mses[i])
-        table.append(EvaluatedModel.from_fit(*best))
+        i = min(np.flatnonzero(sizes == d), key=lambda i: (mses[i], masks[i].tobytes()))
+        table.append(EvaluatedModel.from_fit(masks[i], intercepts[i], coefs[i], mses[i]))
     return table
 
 

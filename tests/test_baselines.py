@@ -2,8 +2,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import paretoreg.baselines
+import paretoreg._kernels
 from paretoreg.baselines import (
     EXHAUSTIVE_K_LIMIT,
     backward_elimination,
@@ -12,7 +14,7 @@ from paretoreg.baselines import (
     forward_selection,
     stepwise_selection,
 )
-from paretoreg._kernels import ols_batch
+from paretoreg._kernels import GramStats, ols_batch
 from paretoreg.data import Dataset
 from paretoreg.objectives import ObjectiveEvaluator
 from paretoreg.simdata import gen_correlated, truncate_predictors
@@ -35,6 +37,51 @@ def brute_best_per_complexity(data):
                 best = cand
         out[d] = best
     return out
+
+
+def enumerated_table(data, max_complexity):
+    """Reference best-subset table: every mask of each size fitted by ols_batch.
+
+    The lowest MSE wins and a tie goes to the smallest mask bytes.  Rows
+    are (mask bytes, error hex, intercept hex, coefficient bytes).
+    """
+    k = data.k
+    stats = GramStats.of(data.X, data.y)
+    table = []
+    for d in range(max_complexity + 1):
+        combos = list(combinations(range(k), d))
+        masks = np.zeros((len(combos), k), dtype=bool)
+        for row, cols in zip(masks, combos):
+            row[list(cols)] = True
+        intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=stats)
+        i = min(range(len(combos)), key=lambda i: (mses[i], masks[i].tobytes()))
+        table.append(
+            (masks[i].tobytes(), mses[i].hex(), intercepts[i].hex(), coefs[i][masks[i]].tobytes())
+        )
+    return table
+
+
+@st.composite
+def subset_data(draw):
+    """Small datasets with the edge cases of the bound tests.
+
+    Optionally the last column copies the first, a column is constant,
+    the response is an exact linear fit, or a column is scaled by 1e8 or
+    1e-8.
+    """
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(3, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = gen.standard_normal((n, k))
+    y = X @ gen.standard_normal(k) + gen.standard_normal(n)
+    if draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, k - 1))] = 3.7
+    if draw(st.booleans()):
+        y = 1.5 + 2.0 * X[:, 0]
+    X[:, draw(st.integers(0, k - 1))] *= draw(st.sampled_from([1.0, 1e8, 1e-8]))
+    return Dataset(X=X, y=y, names=tuple(f"x{i + 1}" for i in range(k)))
 
 
 def partial_f(sse_small, sse_big, n, small_size):
@@ -86,14 +133,14 @@ class TestBestSubsetTable:
     @pytest.mark.parametrize("per_chunk", [2, 3])
     def test_ties_across_chunk_borders(self, monkeypatch, per_chunk):
         # x4 copies x2, so every mask holding one copy ties exactly with
-        # its twin; with 2 or 3 masks per chunk the twins of a size group
-        # fall in different chunks
+        # its twin; with the kernel's chunks cut to one system each, the
+        # twins are fitted in different chunks
         data = make_data(n=30, k=6, seed=3)
         X = data.X.copy()
         X[:, 3] = X[:, 1]
         data = Dataset(X=X, y=data.y, names=data.names)
         whole = best_subset_table(data)
-        monkeypatch.setattr(paretoreg.baselines, "CHUNK_ELEMENTS", per_chunk * data.k)
+        monkeypatch.setattr(paretoreg._kernels, "CHUNK_ELEMENTS", per_chunk * data.k)
         chunked = best_subset_table(data)
         ref = brute_best_per_complexity(data)
         assert len(chunked) == len(whole) == data.k + 1
@@ -102,6 +149,17 @@ class TestBestSubsetTable:
             assert got.error.hex() == want.error.hex()
             assert got.intercept.hex() == want.intercept.hex()
             assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(subset_data())
+    def test_bit_identical_to_enumeration(self, data):
+        for max_complexity in range(data.k + 1):
+            table = best_subset_table(data, max_complexity=max_complexity)
+            got = [
+                (m.mask_key(), m.error.hex(), m.intercept.hex(), m.coefficients.tobytes())
+                for m in table
+            ]
+            assert got == enumerated_table(data, max_complexity)
 
     def test_max_complexity_cut(self):
         data = make_data()

@@ -6,6 +6,7 @@ from paretoreg._kernels import (
     GRAM_COND_MAX,
     GramStats,
     active_backend,
+    drop_scores,
     gram_apply,
     gram_factor,
     ols_batch,
@@ -340,3 +341,34 @@ class TestGramSolve:
             assert factor.ok.all()
             want = np.linalg.solve(G, b[:, :, None])[:, :, 0]
             np.testing.assert_allclose(gram_apply(factor, b), want, rtol=1e-10)
+
+
+class TestDropScores:
+    def test_scores_match_refits(self):
+        # three-column sets of a correlated 120x10 problem; the set's RSS
+        # and each one-column-smaller RSS equal ols_batch's to rel 1e-10
+        data = gen_correlated(120, p=10, seed=3)[0]
+        X, y, n = data.X, data.y, data.n
+        gen = np.random.default_rng(4)
+        cols = np.stack([gen.choice(10, size=3, replace=False) for _ in range(12)])
+        rss, dropped, ok = drop_scores(GramStats.of(X, y), cols)
+        assert ok.all()
+        for row, r, drops in zip(cols, rss, dropped):
+            mask = np.zeros(10, dtype=bool)
+            mask[row] = True
+            smaller = np.repeat(mask[None, :], 3, axis=0)
+            smaller[np.arange(3), row] = False
+            mses = ols_batch(X, y, np.vstack((mask, smaller)))[2]
+            assert r == pytest.approx(mses[0] * n, rel=1e-10)
+            assert drops == pytest.approx(mses[1:] * n, rel=1e-10)
+
+    def test_empty_set_and_failed_systems(self):
+        X, y = random_problem(5, n=25, k=4)
+        X[:, 3] = X[:, 1]
+        stats = GramStats.of(X, y)
+        rss, dropped, ok = drop_scores(stats, np.zeros((2, 0), dtype=np.intp))
+        assert dropped.shape == (2, 0) and ok.all()
+        assert rss.tolist() == [float(stats.yc @ stats.yc)] * 2
+        rss, dropped, ok = drop_scores(stats, np.array([[0, 1], [1, 3]]))
+        assert ok.tolist() == [True, False]
+        assert np.isfinite(dropped).all()

@@ -20,8 +20,12 @@ the fitted values.  Both digests cover:
   500x15 for 400 generations, 200x30 with 10-fold CV for 200
   generations, 500x100 for 10 generations), plus one run with
   ``archive=True`` and ``complexity_bounds``;
-- ``best_subset_table`` at k=12, and at k=15 (``gen_correlated`` at 300
-  rows), where a size group spans more than one fitted chunk;
+- ``best_subset_table`` at k=12; at k=15 (``gen_correlated`` at 300
+  rows), in full and up to ``max_complexity=5``; on the k=12 data with an
+  exact copy of its first column appended, where masks holding both
+  copies tie and fail the fallback rule; and on the k=12 predictors with
+  an exact-fit response, where every mask holding the fitting column
+  ties at the SSE zero floor;
 - the steps and final models of forward, backward and stepwise selection,
   on the k=12 data and on the same data with an exact copy of its first
   column appended, whose full fit is rank deficient, so that backward
@@ -84,12 +88,16 @@ def results():
     yield from _search(300, 20, 2, iterations=150, archive=True, complexity_bounds=(2, 12))
     small = _data(200, 12, 5)
     yield best_subset_table(small)
-    yield best_subset_table(_data(300, 15, 6))
+    wide = _data(300, 15, 6)
+    yield best_subset_table(wide)
+    yield best_subset_table(wide, max_complexity=5)
     copied = Dataset(
         X=np.column_stack((small.X, small.X[:, 0])),
         y=small.y,
         names=(*small.names, small.names[0] + "_copy"),
     )
+    yield best_subset_table(copied)
+    yield best_subset_table(Dataset(X=small.X, y=1.5 + 2.0 * small.X[:, 3], names=small.names))
     for data in (small, copied):
         for method in (forward_selection, backward_elimination, stepwise_selection):
             trajectory = method(data)
