@@ -87,6 +87,8 @@ def _writer(out: str) -> Callable[[str, str | Callable[[str], None]], None]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.example == 1 and args.p is not None:
+        raise ValueError("--p applies only to example 2; example 1's predictors are fixed")
     write = _writer(args.out)
     options = {"seed": args.seed}
     if args.noise_sd is not None:

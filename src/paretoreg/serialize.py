@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,15 +67,35 @@ def _model_to_dict(model: EvaluatedModel, names: Sequence[str]) -> dict[str, Any
     }
 
 
+_MISSING = object()
+
+
+def _field(doc: Any, key: str, convert: Callable[[Any], Any], default: Any = _MISSING) -> Any:
+    """``convert(doc[key])``, or ``default`` when ``key`` is absent.
+
+    A missing field without a default, or a value that ``convert``
+    refuses, raises ``ValueError`` naming ``key``.
+    """
+    try:
+        value = doc[key]
+    except (KeyError, TypeError, IndexError):
+        if default is not _MISSING and isinstance(doc, dict):
+            return default
+        raise ValueError(f"frontier document has no {key!r} field") from None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"frontier field {key!r} is malformed: {exc}") from None
+
+
 def _model_from_dict(doc: dict[str, Any]) -> EvaluatedModel:
-    mask = mask_from_string(doc["mask"])
     return EvaluatedModel(
-        mask=mask,
+        mask=_field(doc, "mask", mask_from_string),
         objective=ObjectiveVector(
-            complexity=int(doc["complexity"]), error=float(doc["error"])
+            complexity=_field(doc, "complexity", int), error=_field(doc, "error", float)
         ),
-        intercept=float(doc["intercept"]),
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
+        intercept=_field(doc, "intercept", float),
+        coefficients=_field(doc, "coefficients", lambda v: np.asarray(v, dtype=np.float64)),
     )
 
 
@@ -110,27 +130,24 @@ def frontier_to_dict(
 
 def frontier_from_dict(doc: dict[str, Any]) -> FrontierDoc:
     """Parse a ``frontier.json`` document; a malformed one raises ``ValueError``."""
-    if doc.get("schema") != FRONTIER_SCHEMA:
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != FRONTIER_SCHEMA:
         raise ValueError(
-            f"unsupported frontier schema {doc.get('schema')!r}, "
-            f"expected {FRONTIER_SCHEMA!r}"
+            f"unsupported frontier schema {schema!r}, expected {FRONTIER_SCHEMA!r}"
         )
-    try:
-        models = tuple(_model_from_dict(d) for d in doc["models"])
-        names = tuple(doc["data"]["names"])
-        n = int(doc["data"]["n"])
-    except KeyError as exc:
-        raise ValueError(f"frontier document has no {exc.args[0]!r} field") from None
+    models = tuple(_model_from_dict(d) for d in _field(doc, "models", list))
+    data = _field(doc, "data", dict)
+    names = _field(data, "names", list)
     lengths = {m.mask.shape[0] for m in models} - {len(names)}
     if lengths:
         raise ValueError(f"{len(names)} names for masks of length {min(lengths)}")
     return FrontierDoc(
         frontier=Frontier(models=models),
-        names=names,
-        target=str(doc["data"].get("target", "y")),
-        n=n,
-        config=dict(doc.get("config", {})),
-        stats=dict(doc.get("stats", {})),
+        names=tuple(names),
+        target=_field(data, "target", str, "y"),
+        n=_field(data, "n", int),
+        config=_field(doc, "config", dict, {}),
+        stats=_field(doc, "stats", dict, {}),
     )
 
 

@@ -328,6 +328,29 @@ class TestErrorHandling:
         assert rc == 1
         assert capsys.readouterr().err == "error: frontier document has no 'models' field\n"
 
+    @pytest.mark.parametrize("field", ["models", "mask"])
+    def test_frontier_with_wrong_field_type(self, pipeline, tmp_path, capsys, field):
+        doc = json.loads((pipeline["run"] / "frontier.json").read_text())
+        if field == "models":
+            doc["models"] = None
+        else:
+            doc["models"][0]["mask"] = 5
+        bad = tmp_path / "frontier.json"
+        bad.write_text(json.dumps(doc))
+        rc = run_cli(
+            "analyze", "--frontier", str(bad), "--task", "knee",
+            "--out", str(tmp_path / "o"),
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: frontier field '{field}' is malformed")
+
+    def test_simulate_example_1_refuses_p(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = run_cli("simulate", "--example", "1", "--n", "5", "--p", "3", "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --p applies only to example 2")
+        assert not out.exists()
+
     def test_bad_bounds(self, pipeline, tmp_path, capsys):
         rc = run_cli(
             "run", "--data", str(pipeline["data"]), "--target", "y",

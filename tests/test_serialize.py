@@ -113,6 +113,25 @@ class TestFrontierDocRoundTrip:
         with pytest.raises(ValueError, match=f"no '{drop}' field"):
             frontier_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("models", lambda doc: doc.update(models=None)),
+            ("mask", lambda doc: doc["models"][1].update(mask=5)),
+            ("error", lambda doc: doc["models"][0].update(error=None)),
+            ("coefficients", lambda doc: doc["models"][2].update(coefficients="1,2")),
+            ("data", lambda doc: doc.update(data=None)),
+            ("names", lambda doc: doc["data"].update(names=3)),
+            ("n", lambda doc: doc["data"].update(n=None)),
+            ("config", lambda doc: doc.update(config=None)),
+        ],
+    )
+    def test_wrong_field_type_rejected_by_name(self, awkward_frontier, field, edit):
+        doc = frontier_to_dict(awkward_frontier, NAMES, "y", 10, {}, {})
+        edit(doc)
+        with pytest.raises(ValueError, match=f"frontier field '{field}' is malformed"):
+            frontier_from_dict(doc)
+
     @pytest.mark.parametrize("names", [NAMES[:3], NAMES + ("e",)])
     def test_names_must_match_mask_length(self, awkward_frontier, names):
         doc = frontier_to_dict(awkward_frontier, NAMES, "y", 10, {}, {})
