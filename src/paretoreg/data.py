@@ -300,11 +300,12 @@ def load_csv(path: str, target: str, header: bool = True) -> Dataset:
 def save_csv(data: Dataset, path: str) -> None:
     """Write a dataset back to CSV at full stored precision.
 
-    Predictor columns come first in stored order, the target column last.
-    ``load_csv`` on the output reproduces the dataset bit for bit.
+    Predictor columns come first in stored order, the target column last;
+    lines end with LF, as in every other CSV the CLI writes.  ``load_csv``
+    on the output reproduces the dataset bit for bit.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(data.names) + [data.target_name])
         for i in range(data.n):
             row = [repr(float(v)) for v in data.X[i]]

@@ -115,6 +115,15 @@ class TestCsv:
         save_csv(d, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_ends_lines_with_lf(self, tmp_path):
+        gen = np.random.default_rng(4)
+        d = Dataset(X=gen.standard_normal((5, 2)), y=gen.standard_normal(5), names=["a", "b"])
+        path = tmp_path / "data.csv"
+        save_csv(d, str(path))
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert raw.count(b"\n") == 6 and raw.endswith(b"\n")
+
     def test_headerless_auto_names(self, tmp_path):
         path = self._write(tmp_path / "plain.csv", "1,2,3\n4,5,6\n7,8,9\n")
         d = load_csv(path, "x3", header=False)
