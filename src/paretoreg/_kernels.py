@@ -52,7 +52,7 @@ SSE_ZERO_FACTOR = 10.0
 CHUNK_ELEMENTS = 1 << 16
 
 
-def chunk_size(d: int, n: int) -> int:
+def _chunk_size(d: int, n: int) -> int:
     """Systems of d columns on n rows per chunk (at least one).
 
     A chunk's gathered columns, systems and residuals then hold at most
@@ -180,7 +180,7 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     fits = []
     offset = 0
     for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
-        step = chunk_size(d, n)
+        step = _chunk_size(d, n)
         for lo in range(0, count, step):
             size = min(step, count - lo)
             cols = columns[offset + lo * d : offset + (lo + size) * d]
@@ -259,17 +259,22 @@ def drop_scores(stats: GramStats, cols: np.ndarray):
     *Technometrics* 16:499-511, 1974); and ``ok`` (m,), which systems
     passed the fallback rule.  Where ``ok`` is False, ``rss`` and
     ``dropped`` hold no score.  Nothing is floored at the SSE zero floor.
+    The sets are solved in chunks, as by :func:`ols_batch`.
     """
     m, d = cols.shape
     if d == 0:
         rss = float(stats.yc @ stats.yc)
         return np.full(m, rss), np.zeros((m, 0)), np.ones(m, dtype=np.bool_)
-    factor, beta, resid = _refined_solve(stats, cols)
-    rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    # G^-1 = m_inv' m_inv, so its diagonal is the column sums of m_inv^2
-    inv_diag = (factor.m_inv * factor.m_inv).sum(axis=1)
-    inv_diag[~factor.ok] = 1.0
-    return rss, rss[:, None] + beta * beta / inv_diag, factor.ok
+    parts = []
+    step = _chunk_size(d, stats.yc.size)
+    for lo in range(0, m, step):
+        factor, beta, resid = _refined_solve(stats, cols[lo : lo + step])
+        rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        # G^-1 = m_inv' m_inv, so its diagonal is the column sums of m_inv^2
+        inv_diag = (factor.m_inv * factor.m_inv).sum(axis=1)
+        inv_diag[~factor.ok] = 1.0
+        parts.append((rss, rss[:, None] + beta * beta / inv_diag, factor.ok))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _cholesky(C):

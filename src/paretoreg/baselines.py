@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
+    CHUNK_ELEMENTS,
     SSE_ZERO_FACTOR,
     GramStats,
-    chunk_size,
     drop_scores,
     is_zero_error,
     ols_batch,
@@ -140,20 +140,22 @@ def best_subset_table(
         return rss, ok
 
     # the tree starts at every set of d_max positions; a smaller set hangs
-    # below the one root that adds back its largest missing positions
+    # below the one root that adds back its largest missing positions.
+    # Roots come in blocks of at most CHUNK_ELEMENTS positions, each walked
+    # before the next, so the stack stays small however many there are.
     roots = itertools.combinations(range(k), d_max)
-    while block := list(itertools.islice(roots, chunk_size(d_max, n))):
+    while block := list(itertools.islice(roots, max(1, CHUNK_ELEMENTS // (d_max + 1)))):
         nodes = [(c, max(set(range(k)).difference(c), default=-1)) for c in block]
         rss, ok = expand(nodes)
         if not ok.all():
             rss[~ok] = fitted([c for c, good in zip(block, ok) if not good])
         record(block, rss)
-    while stack:
-        score, positions, last, bounding = stack.pop()
-        size = len(positions)
-        if bounding and score > limit(best[size - (k - 1 - last) : size].max()):
-            continue
-        expand([(positions, last)])
+        while stack:
+            score, positions, last, bounding = stack.pop()
+            size = len(positions)
+            if bounding and score > limit(best[size - (k - 1 - last) : size].max()):
+                continue
+            expand([(positions, last)])
 
     sets = [p for d in range(d_max + 1) for s, p in near[d] if s <= limit(best[d])]
     masks = masks_of(sets)
@@ -171,7 +173,7 @@ def exhaustive_frontier(
     max_complexity: int | None = None,
     force: bool = False,
 ) -> Frontier:
-    """Exact complexity/error frontier from exhaustive enumeration."""
+    """Exact complexity/error frontier: the non-dominated rows of :func:`best_subset_table`."""
     return Frontier.from_models(best_subset_table(data, max_complexity, force))
 
 

@@ -78,10 +78,10 @@ def _field(doc: Any, key: str, convert: Callable[[Any], Any], default: Any = _MI
     """
     try:
         value = doc[key]
-    except (KeyError, TypeError, IndexError):
-        if default is not _MISSING and isinstance(doc, dict):
-            return default
-        raise ValueError(f"frontier document has no {key!r} field") from None
+    except (KeyError, TypeError):
+        if default is _MISSING:
+            raise ValueError(f"frontier document has no {key!r} field") from None
+        return default
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:

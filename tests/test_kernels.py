@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import paretoreg._kernels
 from paretoreg._kernels import (
     CHUNK_ELEMENTS,
     GRAM_COND_MAX,
@@ -361,6 +362,15 @@ class TestDropScores:
             mses = ols_batch(X, y, np.vstack((mask, smaller)))[2]
             assert r == pytest.approx(mses[0] * n, rel=1e-10)
             assert drops == pytest.approx(mses[1:] * n, rel=1e-10)
+
+    def test_chunks_do_not_move_bits(self, monkeypatch):
+        X, y = random_problem(6, n=40, k=6)
+        stats = GramStats.of(X, y)
+        cols = np.array([[0, 2, 5], [1, 2, 3], [3, 4, 5], [0, 1, 4]])
+        whole = drop_scores(stats, cols)
+        monkeypatch.setattr(paretoreg._kernels, "CHUNK_ELEMENTS", 1)
+        for got, want in zip(drop_scores(stats, cols), whole):
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_set_and_failed_systems(self):
         X, y = random_problem(5, n=25, k=4)
