@@ -37,10 +37,10 @@ EXHAUSTIVE_K_LIMIT = 25
 # increment, which is at most the child's RSS, carries the unrefined
 # factor's forward error, about GRAM_COND_MAX * eps ~ 2.2e-10 of it (the
 # largest seen against ols_batch, over 2,000 random systems near that
-# limit, was 2.4e-10).  A test weighs two scores, each at most one drop
-# step from ols_batch's RSS, so 1e-9 covers both errors and ols_batch's
-# own.  The SSE zero floor, added to every bound, keeps tied every mask
-# that ols_batch reports at 0.0.
+# limit, was 2.4e-10).  A bound test weighs two scores, each at most one
+# drop step from ols_batch's RSS, so 1e-9 covers both errors and
+# ols_batch's own.  The SSE zero floor, added to every bound, keeps tied
+# every mask that ols_batch reports at 0.0.
 _MARGIN = 1e-9
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paretoreg._kernels
 import paretoreg.baselines
 from paretoreg.baselines import (
     EXHAUSTIVE_K_LIMIT,
@@ -133,14 +134,15 @@ class TestBestSubsetTable:
     @pytest.mark.parametrize("per_chunk", [2, 3])
     def test_ties_across_chunk_borders(self, monkeypatch, per_chunk):
         # x4 copies x2, so every mask holding one copy ties exactly with
-        # its twin; with 2 or 3 masks per chunk the twins of a size group
-        # fall in different chunks
+        # its twin; with the search's blocks and the kernel's chunks cut
+        # this small, the twins of a size group fall in different chunks
         data = make_data(n=30, k=6, seed=3)
         X = data.X.copy()
         X[:, 3] = X[:, 1]
         data = Dataset(X=X, y=data.y, names=data.names)
         whole = best_subset_table(data)
         monkeypatch.setattr(paretoreg.baselines, "CHUNK_ELEMENTS", per_chunk * data.k)
+        monkeypatch.setattr(paretoreg._kernels, "CHUNK_ELEMENTS", per_chunk * data.k)
         chunked = best_subset_table(data)
         ref = brute_best_per_complexity(data)
         assert len(chunked) == len(whole) == data.k + 1
