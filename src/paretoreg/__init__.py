@@ -52,7 +52,6 @@ from .baselines import (
 )
 from .simdata import (
     TrueModel,
-    correct_minus_incorrect,
     expand_features,
     gen_additive,
     gen_correlated,
@@ -110,7 +109,6 @@ __all__ = [
     "gen_correlated",
     "expand_features",
     "truncate_predictors",
-    "correct_minus_incorrect",
     "KneeResult",
     "knee_point",
     "CriteriaScan",

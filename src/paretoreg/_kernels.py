@@ -4,14 +4,15 @@ Every submodel fit in the package funnels through :func:`ols_batch`, which
 solves many masked least-squares problems in one call.  It works from the
 centred statistics of :class:`GramStats`, built once per dataset: the
 intercept is absorbed by centring, and each mask's coefficients solve its
-block of the centred normal equations.  Masks are grouped by size and the
-systems of a group are solved together by :func:`gram_factor` and
-:func:`gram_apply`, followed by one step of iterative refinement against
-the residual on the n rows.  The cross-validation fold downdates scale
-their stacked systems by :func:`unit_diagonal` and solve them with the
-same two functions.  :func:`drop_scores`, which bounds the best-subset
-search, takes the same refined fit and adds the RSS after dropping each
-column.
+block of the centred normal equations.  Masks are grouped by size, in
+chunks of :func:`chunk_size` systems, and the systems of a chunk are
+solved together by ``_solve``: one factor by :func:`gram_factor`, a solve
+by :func:`gram_apply`, and one step of iterative refinement against the
+residual on the n rows.  :func:`drop_scores`, which bounds the
+best-subset search, is one ``_solve`` plus the RSS after dropping each
+column.  The cross-validation fold downdates scale their stacked systems
+by :func:`unit_diagonal` and solve them with :func:`gram_factor` and
+:func:`gram_apply`.
 
 Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 20), so a
@@ -52,7 +53,7 @@ SSE_ZERO_FACTOR = 10.0
 CHUNK_ELEMENTS = 1 << 16
 
 
-def _chunk_size(d: int, n: int) -> int:
+def chunk_size(d: int, n: int) -> int:
     """Systems of d columns on n rows per chunk (at least one).
 
     A chunk's gathered columns, systems and residuals then hold at most
@@ -66,16 +67,24 @@ def active_backend() -> str:
     return "numpy"
 
 
-def is_zero_error(error: float, n: int, reference: float) -> bool:
-    """True when ``error`` is zero up to rounding (the SSE zero floor).
+def zero_floor(n: int, reference):
+    """The SSE zero floor on ``n`` rows: ``SSE_ZERO_FACTOR * n * eps * reference``.
 
-    ``error`` and ``reference`` share units: an SSE and the total sum of
-    squares about the mean, or an MSE and the intercept-only MSE.  The
-    reference is centred because every model carries an intercept; a
-    floor on the raw ``||y||^2`` would call real fits zero for a response
-    with a large mean and a small spread.
+    ``reference`` is the total sum of squares about the mean for an SSE
+    floor, or the intercept-only MSE for an MSE floor.  It is centred
+    because every model carries an intercept; a floor on the raw
+    ``||y||^2`` would call real fits zero for a response with a large
+    mean and a small spread.
     """
-    return error <= SSE_ZERO_FACTOR * n * _EPS * reference
+    return SSE_ZERO_FACTOR * n * _EPS * reference
+
+
+def is_zero_error(error: float, n: int, reference: float) -> bool:
+    """True when ``error`` is zero up to rounding: at or below :func:`zero_floor`.
+
+    ``error`` and ``reference`` share units, an SSE or an MSE.
+    """
+    return error <= zero_floor(n, reference)
 
 
 class GramStats(NamedTuple):
@@ -180,11 +189,13 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     fits = []
     offset = 0
     for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
-        step = _chunk_size(d, n)
+        step = chunk_size(d, n)
         for lo in range(0, count, step):
             size = min(step, count - lo)
-            cols = columns[offset + lo * d : offset + (lo + size) * d]
-            fits.append(_gram_fit(stats, cols.reshape(size, d)))
+            cols = columns[offset + lo * d : offset + (lo + size) * d].reshape(size, d)
+            beta, rss, _, ok = _solve(stats, cols)
+            b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
+            fits.append((b0, beta.ravel(), rss / n, ok))
         offset += count * d
     b0, beta, mse, ok = (np.concatenate(part) for part in zip(*fits))
     intercepts = np.empty(m, dtype=np.float64)
@@ -214,67 +225,48 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     return intercepts, coefs, mses, deficient
 
 
-def _gram_fit(stats: GramStats, cols: np.ndarray):
-    """Fits of same-size masks from the centred normal equations.
+def _solve(stats: GramStats, cols: np.ndarray):
+    """Refined solves of same-size column sets from the centred normal equations.
 
-    ``cols`` (m, d) lists each mask's columns.  Returns the intercepts,
-    the coefficients (flattened, mask by mask), the MSEs and which
-    systems passed the fallback rule; the others hold no fit.  Every
-    product runs item by item over the stack, so a row's bits do not
-    depend on the others.
+    ``cols`` (m, d) lists each set's columns.  Returns the coefficients
+    (m, d) after one step of iterative refinement against the residual on
+    the n rows, with the same factor; the RSS (m,) of the refined
+    residual; the factor's ``m_inv`` (m, d, d); and which systems passed
+    the fallback rule (``ok``, m).  Where ``ok`` is False nothing is a
+    fit.  Every product runs item by item over the stack, so a row's bits
+    do not depend on the others.
     """
     m, d = cols.shape
     yc = stats.yc
     if d == 0:
-        mse = float(yc @ yc) / yc.size
-        return np.full(m, stats.y_mean), np.zeros(0), np.full(m, mse), np.ones(m, bool)
-    factor, beta, resid = _refined_solve(stats, cols)
-    mse = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0] / yc.size
-    b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
-    return b0, beta.ravel(), mse, factor.ok
-
-
-def _refined_solve(stats: GramStats, cols: np.ndarray):
-    """Factor, coefficients and residuals of same-size systems (d >= 1).
-
-    The coefficients get one step of iterative refinement against the
-    residual on the n rows, with the same factor.
-    """
+        return np.zeros((m, 0)), np.full(m, float(yc @ yc)), np.zeros((m, 0, 0)), np.ones(m, bool)
     factor = gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
     beta = gram_apply(factor, stats.gram[cols, -1])
     xs = stats.xct[cols]
-    resid = stats.yc - (beta[:, None, :] @ xs)[:, 0, :]
+    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
     beta += gram_apply(factor, (xs @ resid[:, :, None])[:, :, 0])
-    resid = stats.yc - (beta[:, None, :] @ xs)[:, 0, :]
-    return factor, beta, resid
+    resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
+    rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+    return beta, rss, factor.m_inv, factor.ok
 
 
 def drop_scores(stats: GramStats, cols: np.ndarray):
     """Residual sums of squares of same-size column sets, and after each drop.
 
-    ``cols`` (m, d) lists each set's columns.  Returns ``rss`` (m,), the
-    RSS of each set from its refined residual as :func:`ols_batch` fits
-    it; ``dropped`` (m, d), the RSS after removing each listed column,
+    ``cols`` (m, d) lists each set's columns, at most
+    ``chunk_size(d, n)`` of them.  Returns ``rss`` (m,), the RSS of each
+    set from its refined residual as :func:`ols_batch` fits it;
+    ``dropped`` (m, d), the RSS after removing each listed column,
     RSS(S without j) = RSS(S) + beta_j^2 / [G^-1]_jj (Furnival & Wilson,
     *Technometrics* 16:499-511, 1974); and ``ok`` (m,), which systems
     passed the fallback rule.  Where ``ok`` is False, ``rss`` and
     ``dropped`` hold no score.  Nothing is floored at the SSE zero floor.
-    The sets are solved in chunks, as by :func:`ols_batch`.
     """
-    m, d = cols.shape
-    if d == 0:
-        rss = float(stats.yc @ stats.yc)
-        return np.full(m, rss), np.zeros((m, 0)), np.ones(m, dtype=np.bool_)
-    parts = []
-    step = _chunk_size(d, stats.yc.size)
-    for lo in range(0, m, step):
-        factor, beta, resid = _refined_solve(stats, cols[lo : lo + step])
-        rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-        # G^-1 = m_inv' m_inv, so its diagonal is the column sums of m_inv^2
-        inv_diag = (factor.m_inv * factor.m_inv).sum(axis=1)
-        inv_diag[~factor.ok] = 1.0
-        parts.append((rss, rss[:, None] + beta * beta / inv_diag, factor.ok))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    beta, rss, m_inv, ok = _solve(stats, cols)
+    # G^-1 = m_inv' m_inv, so its diagonal is the column sums of m_inv^2
+    inv_diag = (m_inv * m_inv).sum(axis=1)
+    inv_diag[~ok] = 1.0
+    return rss, rss[:, None] + beta * beta / inv_diag, ok
 
 
 def _cholesky(C):

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
-    CHUNK_ELEMENTS,
-    SSE_ZERO_FACTOR,
     GramStats,
+    chunk_size,
     drop_scores,
     is_zero_error,
     ols_batch,
+    zero_floor,
 )
 from .data import Dataset, EvaluatedModel
 from .pareto import Frontier
@@ -82,7 +82,7 @@ def best_subset_table(
 
     n = data.n
     stats = GramStats.of(data.X, data.y)
-    floor = SSE_ZERO_FACTOR * n * np.finfo(np.float64).eps * float(stats.gram[-1, -1])
+    floor = zero_floor(n, float(stats.gram[-1, -1]))
     # positions in the tree run over the columns by drop cost in the full
     # model, most costly first, so that the large subtrees, which delete
     # the costly columns, have high roots; the order never moves a result
@@ -141,10 +141,10 @@ def best_subset_table(
 
     # the tree starts at every set of d_max positions; a smaller set hangs
     # below the one root that adds back its largest missing positions.
-    # Roots come in blocks of at most CHUNK_ELEMENTS positions, each walked
-    # before the next, so the stack stays small however many there are.
+    # Roots come in blocks of one kernel chunk, each walked before the
+    # next, so the stack stays small however many there are.
     roots = itertools.combinations(range(k), d_max)
-    while block := list(itertools.islice(roots, max(1, CHUNK_ELEMENTS // (d_max + 1)))):
+    while block := list(itertools.islice(roots, chunk_size(d_max, n))):
         nodes = [(c, max(set(range(k)).difference(c), default=-1)) for c in block]
         rss, ok = expand(nodes)
         if not ok.all():

@@ -163,7 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if objective.kind == IN_SAMPLE:
         config_doc["objective"].update(folds=None, seed=None)
     stats_doc = {
-        "generations": result.generations,
+        "generations": result.config.iterations,
         "evaluations": result.evaluations,
         "unique_models": result.unique_models,
         "runtime_seconds": round(elapsed, 3),

@@ -62,8 +62,10 @@ class Dataset:
     Parameters
     ----------
     X : ndarray, shape (n, k)
-        Predictor matrix.  Stored column-major (Fortran order) so that
-        extracting column subsets for repeated submodel fits is cheap.
+        Predictor matrix, with at least one row and one column.  Stored
+        column-major (Fortran order).  Fits read ``GramStats.xct``, not X,
+        but ``X.mean(axis=0)`` sums in memory order, so another order
+        would move the last bits of the column means and of every fit.
     y : ndarray, shape (n,)
         Response vector.
     names : sequence of str
@@ -88,6 +90,8 @@ class Dataset:
         y = np.array(y, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if 0 in X.shape:
+            raise ValueError(f"X has no {'rows' if X.shape[0] == 0 else 'columns'}")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError(f"y shape {y.shape} does not match X shape {X.shape}")
         names = tuple(str(nm) for nm in names)
@@ -186,14 +190,6 @@ class EvaluatedModel:
             coefficients=np.asarray(dense_coefficients)[mask],
         )
 
-    @property
-    def complexity(self) -> int:
-        return self.objective.complexity
-
-    @property
-    def error(self) -> float:
-        return self.objective.error
-
     def mask_key(self) -> bytes:
         """Raw bit pattern of the mask; usable as a dict key."""
         return self.mask.tobytes()
@@ -221,7 +217,8 @@ def load_csv(path: str, target: str, header: bool = True) -> Dataset:
     Parameters
     ----------
     path : str
-        File to read.  Comma-separated, one header row unless
+        File to read, UTF-8 (a byte-order mark is skipped).
+        Comma-separated, one header row unless
         ``header=False`` in which case columns are auto-named
         ``x1..xK`` (the target must then be referred to by auto-name).
     target : str
@@ -236,7 +233,7 @@ def load_csv(path: str, target: str, header: bool = True) -> Dataset:
         fewer than two data rows, or any cell that is empty or does not
         parse as a finite number (reported with row and column).
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
@@ -304,7 +301,7 @@ def save_csv(data: Dataset, path: str) -> None:
     lines end with LF, as in every other CSV the CLI writes.  ``load_csv``
     on the output reproduces the dataset bit for bit.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(data.names) + [data.target_name])
         for i in range(data.n):

@@ -77,7 +77,6 @@ class MogaResult:
 
     frontier: Frontier
     snapshots: tuple[Snapshot, ...]
-    generations: int
     evaluations: int
     unique_models: int
     population: tuple[EvaluatedModel, ...]
@@ -319,7 +318,6 @@ def run_moga(
     return MogaResult(
         frontier=frontier,
         snapshots=tuple(snapshots),
-        generations=config.iterations,
         evaluations=evaluator.evaluations,
         unique_models=evaluator.unique_models,
         population=tuple(population),

@@ -25,6 +25,8 @@ through JSON reproduces every value exactly.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,9 +53,12 @@ def json_text(doc: Any) -> str:
 
 def csv_text(header: str, rows: Iterable[Sequence[Any]]) -> str:
     """``header``, then one line per row: its fields by ``str`` (a float's
-    exact ``repr``), comma-joined and unquoted, so none may hold a comma."""
-    lines = [header] + [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    exact ``repr``), comma-joined; a field that holds a comma, a quote or a
+    line break is quoted as ``csv`` quotes it."""
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows([str(v) for v in row] for row in rows)
+    return out.getvalue()
 
 
 def _model_to_dict(model: EvaluatedModel, names: Sequence[str]) -> dict[str, Any]:
@@ -197,18 +202,6 @@ def truth_to_dict(truth: TrueModel) -> dict[str, Any]:
         "intercept": float(truth.intercept),
         "noise_sd": float(truth.noise_sd),
     }
-
-
-def truth_from_dict(doc: dict[str, Any]) -> TrueModel:
-    if doc.get("schema") != "paretoreg-truth/1":
-        raise ValueError(f"unsupported truth schema {doc.get('schema')!r}")
-    return TrueModel(
-        names=tuple(doc["terms"]),
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
-        intercept=float(doc["intercept"]),
-        noise_sd=float(doc["noise_sd"]),
-        space_names=tuple(doc["space_names"]),
-    )
 
 
 def snapshots_csv(snapshots: Sequence[Snapshot]) -> str:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, EvaluatedModel
+from .data import Dataset
 
 _EXPANSION_SUFFIXES = ("lin", "sq", "cube", "log", "exp")
 
@@ -51,27 +51,6 @@ class TrueModel:
         """Boolean mask of the true terms over ``space_names`` order."""
         true_set = set(self.names)
         return np.array([nm in true_set for nm in self.space_names], dtype=np.bool_)
-
-    @property
-    def k(self) -> int:
-        return len(self.space_names)
-
-    def truncated(self, k: int) -> "TrueModel":
-        """Truth restricted to the first ``k`` space variables.
-
-        All true terms must survive the truncation.
-        """
-        kept = self.space_names[:k]
-        lost = [nm for nm in self.names if nm not in kept]
-        if lost:
-            raise ValueError(f"truncation to k={k} drops true terms {lost}")
-        return TrueModel(
-            names=self.names,
-            coefficients=self.coefficients,
-            intercept=self.intercept,
-            noise_sd=self.noise_sd,
-            space_names=kept,
-        )
 
 
 def expanded_names(raw_names: Sequence[str]) -> tuple[str, ...]:
@@ -211,21 +190,3 @@ def truncate_predictors(data: Dataset, k: int) -> Dataset:
         names=data.names[:k],
         target_name=data.target_name,
     )
-
-
-def correct_minus_incorrect(model: EvaluatedModel | np.ndarray, truth: TrueModel) -> int:
-    """Recovery score: correctly selected terms minus incorrect ones.
-
-    Equals the number of true terms selected minus the number of
-    selected terms that are not in the truth; the exact-recovery score
-    is the number of true terms.
-    """
-    mask = model.mask if isinstance(model, EvaluatedModel) else np.asarray(model)
-    mask = mask.astype(np.bool_)
-    true_mask = truth.mask
-    if mask.shape != true_mask.shape:
-        raise ValueError(
-            f"mask length {mask.shape[0]} does not match truth space {true_mask.shape[0]}"
-        )
-    hits = int((mask & true_mask).sum())
-    return 2 * hits - int(mask.sum())

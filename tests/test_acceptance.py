@@ -378,7 +378,8 @@ def test_criterion_8_generalization_variant(capsys):
     for s in range(10):
         full, truth = gen_correlated(200, p=100, seed=200 + s)
         data = truncate_predictors(full, 30)
-        true_mask = truth.truncated(30).mask
+        true_mask = truth.mask[:30]
+        assert true_mask.sum() == len(truth.names)
 
         cv_res = run_moga(
             data,

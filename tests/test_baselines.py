@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paretoreg._kernels
-import paretoreg.baselines
 from paretoreg.baselines import (
     EXHAUSTIVE_K_LIMIT,
     backward_elimination,
@@ -134,23 +133,27 @@ class TestBestSubsetTable:
     @pytest.mark.parametrize("per_chunk", [2, 3])
     def test_ties_across_chunk_borders(self, monkeypatch, per_chunk):
         # x4 copies x2, so every mask holding one copy ties exactly with
-        # its twin; with the search's blocks and the kernel's chunks cut
-        # this small, the twins of a size group fall in different chunks
+        # its twin; with the kernel's chunks, which also size the search's
+        # blocks of roots, cut this small, the twins of a size group fall
+        # in different chunks, and the 20 roots of max_complexity=3 are
+        # walked in several blocks
         data = make_data(n=30, k=6, seed=3)
         X = data.X.copy()
         X[:, 3] = X[:, 1]
         data = Dataset(X=X, y=data.y, names=data.names)
-        whole = best_subset_table(data)
-        monkeypatch.setattr(paretoreg.baselines, "CHUNK_ELEMENTS", per_chunk * data.k)
-        monkeypatch.setattr(paretoreg._kernels, "CHUNK_ELEMENTS", per_chunk * data.k)
-        chunked = best_subset_table(data)
         ref = brute_best_per_complexity(data)
-        assert len(chunked) == len(whole) == data.k + 1
-        for d, (got, want) in enumerate(zip(chunked, whole)):
-            assert got.mask_key() == want.mask_key() == ref[d][1]
-            assert got.error.hex() == want.error.hex()
-            assert got.intercept.hex() == want.intercept.hex()
-            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        for max_complexity in (None, 3):
+            whole = best_subset_table(data, max_complexity)
+            with monkeypatch.context() as patch:
+                patch.setattr(paretoreg._kernels, "CHUNK_ELEMENTS", per_chunk * data.k)
+                chunked = best_subset_table(data, max_complexity)
+            size = data.k + 1 if max_complexity is None else max_complexity + 1
+            assert len(chunked) == len(whole) == size
+            for d, (got, want) in enumerate(zip(chunked, whole)):
+                assert got.mask_key() == want.mask_key() == ref[d][1]
+                assert got.objective.error.hex() == want.objective.error.hex()
+                assert got.intercept.hex() == want.intercept.hex()
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(subset_data())
@@ -158,7 +161,7 @@ class TestBestSubsetTable:
         for max_complexity in range(data.k + 1):
             table = best_subset_table(data, max_complexity=max_complexity)
             got = [
-                (m.mask_key(), m.error.hex(), m.intercept.hex(), m.coefficients.tobytes())
+                (m.mask_key(), m.objective.error.hex(), m.intercept.hex(), m.coefficients.tobytes())
                 for m in table
             ]
             assert got == enumerated_table(data, max_complexity)
@@ -451,7 +454,7 @@ class TestOneFitPath:
         for model in models:
             want = evaluator.evaluate(model.mask)
             assert model.mask.tobytes() == want.mask.tobytes()
-            assert model.error.hex() == want.error.hex()
+            assert model.objective.error.hex() == want.objective.error.hex()
             assert model.intercept.hex() == want.intercept.hex()
             assert model.coefficients.tobytes() == want.coefficients.tobytes()
         deficient = ols_batch(data.X, data.y, np.stack([m.mask for m in table]))[3]

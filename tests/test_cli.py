@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata as md
 import json
 import os
@@ -445,6 +446,22 @@ class TestOutputFiles:
             )
             assert variables == ";".join(m["variables"])
             assert coefs == ";".join(map(repr, m["coefficients"]))
+
+    def test_frontier_csv_quotes_names_with_commas(self, tmp_path):
+        gen = np.random.default_rng(7)
+        X = gen.standard_normal((40, 3))
+        y = X @ [3.0, -1.0, 0.5] + gen.standard_normal(40)
+        names = ["crime, rate", "income", "age"]
+        save_csv(Dataset(X=X, y=y, names=names), str(tmp_path / "data.csv"))
+        assert run_cli(
+            "run", "--data", str(tmp_path / "data.csv"), "--target", "y",
+            "--iterations", "20", "--seed", "1", "--out", str(tmp_path / "run"),
+        ) == 0
+        with open(tmp_path / "run" / "frontier.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["complexity", "error", "intercept", "mask", "variables", "coefficients"]
+        assert len(rows) > 2 and all(len(row) == 6 for row in rows)
+        assert "crime, rate" in ";".join(row[4] for row in rows[1:]).split(";")
 
     def test_criteria_csv_follows_frontier(self, pipeline, tmp_path):
         frontier = pipeline["run"] / "frontier.json"

@@ -49,6 +49,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(X=[[np.inf], [2.0]], y=[1.0, 2.0], names=["a"])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="column"):
+            Dataset(X=np.zeros((3, 0)), y=[1.0, 2.0, 3.0], names=[])
+        with pytest.raises(ValueError, match="row"):
+            Dataset(X=np.zeros((0, 2)), y=np.zeros(0), names=["a", "b"])
+
     def test_validate_mask(self):
         d = Dataset(X=[[1.0, 2.0], [3.0, 4.0]], y=[1.0, 2.0], names=["a", "b"])
         out = d.validate_mask([True, False])
@@ -65,7 +71,7 @@ class TestEvaluatedModel:
             intercept=0.5,
             coefficients=np.array([1.0, -2.0]),
         )
-        assert m.complexity == 2 and m.error == 1.5
+        assert m.objective.complexity == 2 and m.objective.error == 1.5
         assert m.selected_names(["a", "b", "c"]) == ("a", "c")
         assert m.mask_key() == np.array([True, False, True]).tobytes()
 
@@ -123,6 +129,22 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.count(b"\n") == 6 and raw.endswith(b"\n")
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark,
+        # which must not become part of the first column's name
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x1\n1,2\n3,5\n")
+        d = load_csv(str(path), "y")
+        assert d.names == ("x1",)
+        np.testing.assert_array_equal(d.y, [1.0, 3.0])
+
+    def test_save_writes_utf8(self, tmp_path):
+        d = Dataset(X=[[1.0], [2.0]], y=[3.0, 4.0], names=["\u00e9t\u00e9"], target_name="y")
+        path = tmp_path / "data.csv"
+        save_csv(d, str(path))
+        assert path.read_bytes().startswith("\u00e9t\u00e9,y\n".encode("utf-8"))
+        assert load_csv(str(path), "y").names == d.names
 
     def test_headerless_auto_names(self, tmp_path):
         path = self._write(tmp_path / "plain.csv", "1,2,3\n4,5,6\n7,8,9\n")

@@ -7,7 +7,6 @@ from paretoreg.data import Dataset
 from paretoreg.objectives import ObjectiveEvaluator
 from paretoreg.simdata import (
     TrueModel,
-    correct_minus_incorrect,
     expand_features,
     expanded_names,
     gen_additive,
@@ -91,7 +90,7 @@ class TestGenAdditive:
         assert truth.names == ("x1_lin", "x2_exp", "x3_lin", "x3_cube", "x4_cube")
         np.testing.assert_allclose(truth.coefficients, [5, 2, 5, 3, 0.1])
         assert truth.intercept == 10.0
-        assert truth.k == 25
+        assert len(truth.space_names) == 25
         space = truth.space_names
         idx = np.flatnonzero(truth.mask)
         assert [space[i] for i in idx] == sorted(
@@ -164,35 +163,17 @@ class TestTruncation:
             truncate_predictors(data, 31)
 
     def test_truth_truncation_keeps_terms(self):
+        # the truth of a dataset cut to its first 15 columns is the first
+        # 15 entries of the mask, and they hold every true term
         _, truth = gen_correlated(20, p=40, seed=0)
-        cut = truth.truncated(15)
-        assert cut.k == 15
-        assert cut.names == truth.names
-        with pytest.raises(ValueError):
-            truth.truncated(9)
+        assert truth.mask[:15].sum() == len(truth.names) == 10
+        assert truth.mask[:9].sum() < len(truth.names)
 
     def test_additive_truth_truncation_limit(self):
         _, truth = gen_additive(10, seed=0)
-        assert truth.truncated(18).k == 18  # x4_cube sits at index 17
-        with pytest.raises(ValueError):
-            truth.truncated(17)
-
-
-class TestRecoveryScore:
-    def test_hand_values(self):
-        _, truth = gen_correlated(20, p=15, seed=0)
-        exact = truth.mask
-        assert correct_minus_incorrect(exact, truth) == 10
-        assert correct_minus_incorrect(np.zeros(15, dtype=bool), truth) == 0
-        assert correct_minus_incorrect(np.ones(15, dtype=bool), truth) == 20 - 15
-        one_wrong = exact.copy()
-        one_wrong[12] = True
-        assert correct_minus_incorrect(one_wrong, truth) == 9
-
-    def test_length_mismatch(self):
-        _, truth = gen_correlated(20, p=15, seed=0)
-        with pytest.raises(ValueError):
-            correct_minus_incorrect(np.ones(14, dtype=bool), truth)
+        # x4_cube sits at index 17
+        assert truth.mask[:18].sum() == len(truth.names)
+        assert truth.mask[:17].sum() < len(truth.names)
 
 
 class TestTrueModelValidation:
