@@ -1,18 +1,17 @@
 """Batch least-squares kernel and the package's numerical policy.
 
-Every submodel fit in the package funnels through :func:`ols_batch`, which
-solves many masked least-squares problems in one call.  It works from the
-centred statistics of :class:`GramStats`, built once per dataset: the
-intercept is absorbed by centring, and each mask's coefficients solve its
-block of the centred normal equations.  Masks are grouped by size, in
-chunks of :func:`chunk_size` systems, and the systems of a chunk are
-solved together by ``_solve``: one factor by :func:`gram_factor`, a solve
-by :func:`gram_apply`, and one step of iterative refinement against the
-residual on the n rows.  :func:`drop_scores`, which bounds the
-best-subset search, is one ``_solve`` plus the RSS after dropping each
-column.  The cross-validation fold downdates scale their stacked systems
-by :func:`unit_diagonal` and solve them with :func:`gram_factor` and
-:func:`gram_apply`.
+Every submodel fit in the package funnels through this module.
+:func:`ols_batch` fits masks from the centred statistics of
+:class:`GramStats`, built once per dataset: the intercept is absorbed by
+centring, and each mask's coefficients solve its block of the centred
+normal equations, with one step of iterative refinement (``_solve``).
+:func:`fold_errors` scores masks by k-fold cross-validation from the
+fold training Grams of :class:`FoldStats`, built once per partition.
+Both group masks by size into chunks (``_size_chunks``), gather each
+system from statistics scaled to unit diagonal when they were built,
+and factor a chunk's systems together.  :func:`drop_scores`, which
+bounds the best-subset search, is one ``_solve`` plus the RSS after
+dropping each column.
 
 Normal equations lose accuracy as cond(A)^2, not cond(A) (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 20), so a
@@ -36,7 +35,7 @@ _EPS = float(np.finfo(np.float64).eps)
 #
 # Fallback rule of the Gram solves: a system scaled to unit diagonal is
 # solved from its normal equations only when its Cholesky factor exists
-# and the condition estimate of :func:`gram_factor` (an upper bound on the
+# and the condition estimate of ``_gram_factor`` (an upper bound on the
 # 2-norm condition number) is at most GRAM_COND_MAX.  Forward errors then
 # stay near GRAM_COND_MAX * eps ~ 2e-10 in the worst case.
 GRAM_COND_MAX = 1e6
@@ -49,7 +48,8 @@ SSE_ZERO_FACTOR = 10.0
 
 # Upper bound on the elements of the temporaries of one chunk of
 # same-size systems (in ols_batch the gathered columns, the systems and
-# the residuals); larger groups are solved chunk by chunk.
+# the residuals; in fold_errors the fold systems and the held-out
+# residuals); larger groups are solved chunk by chunk.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -131,8 +131,44 @@ class GramStats(NamedTuple):
             A[:, -1] = 0.0
         xct = np.ascontiguousarray(A[:, :-1].T)
         gram = A.T @ A
-        unit, scale = unit_diagonal(gram[None, :-1, :-1])
+        unit, scale = _unit_diagonal(gram[None, :-1, :-1])
         return cls(x_mean, y_mean, xct, np.ascontiguousarray(A[:, -1]), gram, unit[0], scale[0])
+
+
+class FoldStats(NamedTuple):
+    """Training statistics of each validation fold of one dataset.
+
+    ``gram`` (f, w, w) holds each fold's training Gram: the Gram of
+    A = [1, X - mean(X), y - mean(y)], which is ``GramStats.gram``
+    bordered by n and the centred columns' sums (zero only up to the
+    rounding in the means), minus the fold's held-out rows' own Gram.
+    ``unit`` and ``scale`` scale its block without y to unit diagonal, as
+    ``GramStats.unit``/``.scale`` do.  ``val`` (f, v, w) holds each fold's
+    rows of A, zero-padded to a common length, and ``sizes`` (f,) their
+    counts.
+    """
+
+    gram: np.ndarray
+    unit: np.ndarray
+    scale: np.ndarray
+    val: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, stats: GramStats, folds) -> "FoldStats":
+        n = stats.yc.size
+        A = np.column_stack((np.ones(n), stats.xct.T, stats.yc))
+        gram = np.zeros((A.shape[1], A.shape[1]))
+        gram[0, 0] = n
+        gram[0, 1:] = gram[1:, 0] = A[:, 1:].sum(axis=0)
+        gram[1:, 1:] = stats.gram
+        val = np.zeros((len(folds), max(f.size for f in folds), A.shape[1]))
+        for i, f in enumerate(folds):
+            val[i, : f.size] = A[f]
+        train = gram - np.swapaxes(val, 1, 2) @ val
+        unit, scale = _unit_diagonal(train[:, :-1, :-1])
+        sizes = np.array([f.size for f in folds], dtype=np.float64)
+        return cls(train, unit, scale, val, sizes)
 
 
 def ols_batch(X, y, masks, stats: GramStats | None = None):
@@ -182,28 +218,19 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     n = X.shape[0]
     if m == 0:
         return np.zeros(0), np.zeros((0, k_total)), np.zeros(0), np.zeros(0, dtype=np.bool_)
-    # masks in size order, and all their column indices in that order
-    sizes = np.count_nonzero(masks, axis=1)
-    order = np.argsort(sizes, kind="stable")
-    columns = np.nonzero(masks[order])[1]
+    order, rows, columns, chunks = _size_chunks(masks, lambda d: chunk_size(d, n))
     fits = []
-    offset = 0
-    for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
-        step = chunk_size(d, n)
-        for lo in range(0, count, step):
-            size = min(step, count - lo)
-            cols = columns[offset + lo * d : offset + (lo + size) * d].reshape(size, d)
-            beta, rss, _, ok = _solve(stats, cols)
-            b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
-            fits.append((b0, beta.ravel(), rss / n, ok))
-        offset += count * d
+    for cols in chunks:
+        beta, rss, _, ok = _solve(stats, cols)
+        b0 = stats.y_mean - (stats.x_mean[cols][:, None, :] @ beta[:, :, None])[:, 0, 0]
+        fits.append((b0, beta.ravel(), rss / n, ok))
     b0, beta, mse, ok = (np.concatenate(part) for part in zip(*fits))
     intercepts = np.empty(m, dtype=np.float64)
     coefs = np.zeros((m, k_total), dtype=np.float64)
     mses = np.empty(m, dtype=np.float64)
     solved = np.empty(m, dtype=np.bool_)
     intercepts[order] = b0
-    coefs[np.repeat(order, sizes[order]), columns] = beta
+    coefs[order[rows], columns] = beta
     mses[order] = mse
     solved[order] = ok
     deficient = np.zeros(m, dtype=np.bool_)
@@ -225,6 +252,27 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
     return intercepts, coefs, mses, deficient
 
 
+def _size_chunks(masks: np.ndarray, per_chunk):
+    """Mask rows by size (a stable sort), in chunks of at most ``per_chunk(d)``.
+
+    Returns that row ``order``; the position in it (``rows``) and the
+    column of every selected entry; and the chunks, one (size, d) array
+    of column indices each, whose results concatenate in ``order``.
+    """
+    sizes = np.count_nonzero(masks, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    rows, columns = np.nonzero(masks[order])
+    chunks = []
+    offset = 0
+    for d, count in enumerate(np.bincount(sizes, minlength=1).tolist()):
+        step = per_chunk(d)
+        for lo in range(0, count, step):
+            size = min(step, count - lo)
+            chunks.append(columns[offset + lo * d : offset + (lo + size) * d].reshape(size, d))
+        offset += count * d
+    return order, rows, columns, chunks
+
+
 def _solve(stats: GramStats, cols: np.ndarray):
     """Refined solves of same-size column sets from the centred normal equations.
 
@@ -240,14 +288,14 @@ def _solve(stats: GramStats, cols: np.ndarray):
     yc = stats.yc
     if d == 0:
         return np.zeros((m, 0)), np.full(m, float(yc @ yc)), np.zeros((m, 0, 0)), np.ones(m, bool)
-    factor = gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
-    beta = gram_apply(factor, stats.gram[cols, -1])
+    m_inv, ok = _gram_factor(stats.unit[cols[:, :, None], cols[:, None, :]], stats.scale[cols])
+    beta = _gram_apply(m_inv, stats.gram[cols, -1])
     xs = stats.xct[cols]
     resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
-    beta += gram_apply(factor, (xs @ resid[:, :, None])[:, :, 0])
+    beta += _gram_apply(m_inv, (xs @ resid[:, :, None])[:, :, 0])
     resid = yc - (beta[:, None, :] @ xs)[:, 0, :]
     rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
-    return beta, rss, factor.m_inv, factor.ok
+    return beta, rss, m_inv, ok
 
 
 def drop_scores(stats: GramStats, cols: np.ndarray):
@@ -269,6 +317,46 @@ def drop_scores(stats: GramStats, cols: np.ndarray):
     return rss, rss[:, None] + beta * beta / inv_diag, ok
 
 
+def fold_errors(folds: FoldStats, masks: np.ndarray):
+    """Cross-validated errors of boolean ``masks`` (m, k) from ``folds``.
+
+    Each (fold, mask) system, the intercept and the mask's columns, is
+    solved against the fold's training Gram and scored on its held-out
+    rows.  Returns the errors (m,), the mean over folds of the held-out
+    MSE, and ``ok`` (m,), which masks passed the fallback rule in every
+    fold; where ``ok`` is False the error is no fit.
+    """
+    n_folds, width = folds.gram.shape[:2]
+    # per mask and fold: a system, a coefficient row and the held-out residuals
+    rest = n_folds * width + folds.val[..., 0].size
+    order, _, _, chunks = _size_chunks(
+        masks, lambda d: max(1, CHUNK_ELEMENTS // (n_folds * (d + 1) ** 2 + rest))
+    )
+    f = np.arange(n_folds)[None, :, None]
+    parts = []
+    for cols in chunks:
+        m, d = cols.shape
+        # columns of A per mask: the intercept, then the selected predictors
+        idx = np.zeros((m, d + 1), dtype=np.intp)
+        idx[:, 1:] = cols + 1
+        at = idx[:, None, :]
+        system = folds.unit[f[..., None], at[..., None], at[:, :, None, :]]
+        m_inv, ok = _gram_factor(system.reshape(-1, d + 1, d + 1), folds.scale[f, at].reshape(-1, d + 1))
+        beta = _gram_apply(m_inv, folds.gram[f, at, -1].reshape(-1, d + 1))
+        # w = (beta, -1) on A's columns, so A_v w is minus the residual
+        w = np.zeros((n_folds, m, width))
+        w[:, :, width - 1] = -1.0
+        w[:, np.arange(m)[:, None], idx] = beta.reshape(m, n_folds, d + 1).swapaxes(0, 1)
+        resid = folds.val @ np.swapaxes(w, 1, 2)
+        fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / folds.sizes[:, None]
+        parts.append((fold_mse.mean(axis=0), ok.reshape(m, n_folds).all(axis=1)))
+    errors = np.empty(masks.shape[0], dtype=np.float64)
+    passed = np.empty(masks.shape[0], dtype=np.bool_)
+    if parts:
+        errors[order], passed[order] = (np.concatenate(part) for part in zip(*parts))
+    return errors, passed
+
+
 def _cholesky(C):
     """Cholesky factors of a stack, and which of them exist.
 
@@ -286,29 +374,20 @@ def _cholesky(C):
     return np.concatenate((L_a, L_b)), np.concatenate((ok_a, ok_b))
 
 
-class GramFactor(NamedTuple):
-    """Stacked systems factored by :func:`gram_factor`.
-
-    ``m_inv`` is L^-1 D per system, so that G^-1 = m_inv' m_inv; it is
-    zero for systems that failed the fallback rule (``ok`` False).
-    """
-
-    m_inv: np.ndarray
-    ok: np.ndarray
-
-
-def unit_diagonal(G):
+def _unit_diagonal(G):
     """Stacked systems scaled to unit diagonal: (D G D, D), D = diag(G)^(-1/2).
 
     A diagonal entry that is not positive keeps a scale of 1, so the
-    Cholesky factorisation of that system fails.
+    Cholesky factorisation of that system fails.  Each entry is scaled as
+    ``(G_ij * D_i) * D_j``, so a submatrix of a scaled system equals the
+    scaled submatrix bit for bit.
     """
     diag = G.diagonal(axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     return G * scale[:, :, None] * scale[:, None, :], scale
 
 
-def gram_factor(C, scale) -> GramFactor:
+def _gram_factor(C, scale):
     """Factor stacked systems G = C / (scale scale') and apply the fallback rule.
 
     ``C`` (m, d, d) holds the systems scaled to unit diagonal and
@@ -316,9 +395,10 @@ def gram_factor(C, scale) -> GramFactor:
     factored as L L'.  The condition estimate is
     ``||C||_inf * trace(C^-1)``, with trace(C^-1) = ||L^-1||_F^2: both
     factors bound the extreme eigenvalues from outside, so the estimate
-    is never below cond_2(C).  ``ok`` is False where the factorisation
+    is never below cond_2(C).  Returns ``m_inv`` = L^-1 D per system, so
+    that G^-1 = m_inv' m_inv, and ``ok``, False where the factorisation
     fails or the estimate exceeds ``GRAM_COND_MAX``; those systems must
-    be solved another way.
+    be solved another way, and their ``m_inv`` is zero.
     """
     L, ok = _cholesky(C)
     if not ok.all():
@@ -329,10 +409,9 @@ def gram_factor(C, scale) -> GramFactor:
     m_inv = l_inv * scale[:, None, :]
     if not ok.all():
         m_inv[~ok] = 0.0
-    return GramFactor(m_inv, ok)
+    return m_inv, ok
 
 
-def gram_apply(factor: GramFactor, b):
-    """Solve ``G x = b`` for each system of ``factor``; zero where not ``ok``."""
-    m_inv = factor.m_inv
+def _gram_apply(m_inv, b):
+    """Solve ``G x = b`` for each system factored as ``m_inv``; zero where not ok."""
     return (np.swapaxes(m_inv, 1, 2) @ (m_inv @ b[:, :, None]))[:, :, 0]

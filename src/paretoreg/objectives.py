@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import (
-    CHUNK_ELEMENTS,
-    GramStats,
-    gram_apply,
-    gram_factor,
-    ols_batch,
-    unit_diagonal,
-)
+from ._kernels import FoldStats, GramStats, fold_errors, ols_batch
 from .data import Dataset, EvaluatedModel
 
 IN_SAMPLE = "in_sample"
@@ -115,20 +108,12 @@ class ObjectiveEvaluator:
     Every mask's intercept and coefficients come from one full-data fit
     by :func:`ols_batch`, against centred statistics (:class:`GramStats`)
     built once per evaluator; for the in-sample objective that fit's MSE
-    is the error.  For cross-validation the Gram matrix G = A'A of the
-    centred augmented matrix A = [1, X - mean(X), y - mean(y)] is the
-    statistics' Gram bordered by the intercept row and column (n, and
-    the centred columns' sums, which are zero only up to the rounding in
-    the means), and each fold's training
-    Gram is G minus the held-out rows' own Gram.  Fresh masks are grouped
-    by size, and every (fold, mask) system is scaled to unit diagonal,
-    factored by one batched call of :func:`~paretoreg._kernels.gram_factor`
-    and solved by :func:`~paretoreg._kernels.gram_apply`.  The validation
-    residuals are computed on the held-out rows themselves.  A mask whose
-    system fails the fallback rule in any fold (a diagonal entry that is
-    not positive, a failed Cholesky factorisation or a condition estimate
-    above ``GRAM_COND_MAX``) is refitted fold by fold by :func:`ols_batch`;
-    :attr:`svd_fallbacks` counts those masks.
+    is the error.  For cross-validation the fold training statistics
+    (:class:`~paretoreg._kernels.FoldStats`) are built once too, and
+    fresh masks are scored by
+    :func:`~paretoreg._kernels.fold_errors`.  A mask whose system fails
+    the fallback rule in any fold is refitted fold by fold by
+    :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
 
     This class is the one place where the package computes a model's
     error objective.
@@ -144,20 +129,7 @@ class ObjectiveEvaluator:
         self._partition = None
         if self.spec.kind == CROSS_VALIDATION:
             self._partition = make_partition(data.n, self.spec.folds, self.spec.seed)
-            folds = self._partition.folds
-            stats = self._stats
-            A = np.column_stack((np.ones(data.n), stats.xct.T, stats.yc))
-            gram = np.zeros((A.shape[1], A.shape[1]))
-            gram[0, 0] = data.n
-            gram[0, 1:] = gram[1:, 0] = A[:, 1:].sum(axis=0)
-            gram[1:, 1:] = stats.gram
-            self._fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
-            # held-out rows per fold, zero-padded to a common length; a
-            # zero row adds nothing to a fold's residual sum of squares
-            self._val = np.zeros((len(folds), max(f.size for f in folds), A.shape[1]))
-            for i, f in enumerate(folds):
-                self._val[i, : f.size] = A[f]
-            self._train_gram = gram - np.swapaxes(self._val, 1, 2) @ self._val
+            self._folds = FoldStats.of(self._stats, self._partition.folds)
 
     @property
     def partition(self) -> FoldPartition | None:
@@ -210,57 +182,20 @@ class ObjectiveEvaluator:
     def _evaluate_batch(self, masks: np.ndarray) -> list[EvaluatedModel]:
         data = self.data
         intercepts, coefs, mses, _ = ols_batch(data.X, data.y, masks, stats=self._stats)
-        if self.spec.kind == IN_SAMPLE:
-            errors = mses
-        else:
-            errors = self._cv_errors(masks, masks.sum(axis=1))
+        errors = mses if self.spec.kind == IN_SAMPLE else self._cv_errors(masks)
         return [
             EvaluatedModel.from_fit(masks[i], intercepts[i], coefs[i], errors[i])
             for i in range(masks.shape[0])
         ]
 
-    def _cv_errors(self, masks: np.ndarray, complexities: np.ndarray) -> np.ndarray:
+    def _cv_errors(self, masks: np.ndarray) -> np.ndarray:
         """Cross-validated errors: Gram fold solves, SVD refits as fallback."""
-        errors = np.zeros(masks.shape[0], dtype=np.float64)
-        solved = np.zeros(masks.shape[0], dtype=np.bool_)
-        n_folds, width = self._train_gram.shape[:2]
-        for d in np.unique(complexities):
-            rows = np.flatnonzero(complexities == d)
-            per_mask = n_folds * ((int(d) + 1) ** 2 + width) + self._val[..., 0].size
-            step = max(1, CHUNK_ELEMENTS // per_mask)
-            for lo in range(0, rows.size, step):
-                chunk = rows[lo : lo + step]
-                errors[chunk], solved[chunk] = self._cv_gram(masks[chunk], int(d))
+        errors, solved = fold_errors(self._folds, masks)
         if not solved.all():
             fallback = np.flatnonzero(~solved)
             self._svd_fallbacks += fallback.size
             errors[fallback] = self._cv_refit(masks[fallback])
         return errors
-
-    def _cv_gram(self, masks: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """CV errors of same-size masks from the fold training Grams.
-
-        Returns the errors and, per mask, whether every fold's system
-        passed the fallback rule.
-        """
-        m = masks.shape[0]
-        gram = self._train_gram
-        n_folds, width = gram.shape[0], gram.shape[1]
-        # columns of A per mask: the intercept, then the selected predictors
-        idx = np.zeros((m, d + 1), dtype=np.intp)
-        idx[:, 1:] = np.nonzero(masks)[1].reshape(m, d) + 1
-        folds = np.arange(n_folds)[None, :, None]
-        system = gram[folds[..., None], idx[:, None, :, None], idx[:, None, None, :]]
-        rhs = gram[folds, idx[:, None, :], width - 1]
-        factor = gram_factor(*unit_diagonal(system.reshape(m * n_folds, d + 1, d + 1)))
-        beta = gram_apply(factor, rhs.reshape(m * n_folds, d + 1))
-        # w = (beta, -1) on A's columns, so A_v w is minus the residual
-        w = np.zeros((n_folds, m, width))
-        w[:, :, width - 1] = -1.0
-        w[:, np.arange(m)[:, None], idx] = beta.reshape(m, n_folds, d + 1).swapaxes(0, 1)
-        resid = self._val @ np.swapaxes(w, 1, 2)
-        fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / self._fold_sizes[:, None]
-        return fold_mse.mean(axis=0), factor.ok.reshape(m, n_folds).all(axis=1)
 
     def _cv_refit(self, masks: np.ndarray) -> np.ndarray:
         """CV errors by one :func:`ols_batch` refit per fold."""
