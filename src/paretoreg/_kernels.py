@@ -343,13 +343,14 @@ def fold_errors(folds: FoldStats, masks: np.ndarray):
         system = folds.unit[f[..., None], at[..., None], at[:, :, None, :]]
         m_inv, ok = _gram_factor(system.reshape(-1, d + 1, d + 1), folds.scale[f, at].reshape(-1, d + 1))
         beta = _gram_apply(m_inv, folds.gram[f, at, -1].reshape(-1, d + 1))
-        # w = (beta, -1) on A's columns, so A_v w is minus the residual
-        w = np.zeros((n_folds, m, width))
-        w[:, :, width - 1] = -1.0
-        w[:, np.arange(m)[:, None], idx] = beta.reshape(m, n_folds, d + 1).swapaxes(0, 1)
-        resid = folds.val @ np.swapaxes(w, 1, 2)
-        fold_mse = np.einsum("fvm,fvm->fm", resid, resid) / folds.sizes[:, None]
-        parts.append((fold_mse.mean(axis=0), ok.reshape(m, n_folds).all(axis=1)))
+        # w = (beta, -1) on A's columns, so A_v w is minus the residual;
+        # one product per (mask, fold), so no row depends on the others
+        w = np.zeros((m, n_folds, width))
+        w[..., -1] = -1.0
+        w[np.arange(m)[:, None, None], f[0], at] = beta.reshape(m, n_folds, d + 1)
+        resid = (folds.val @ w[..., None])[..., 0]
+        fold_mse = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / folds.sizes
+        parts.append((fold_mse.mean(axis=1), ok.reshape(m, n_folds).all(axis=1)))
     errors = np.empty(masks.shape[0], dtype=np.float64)
     passed = np.empty(masks.shape[0], dtype=np.bool_)
     if parts:

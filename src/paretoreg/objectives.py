@@ -198,15 +198,19 @@ class ObjectiveEvaluator:
         return errors
 
     def _cv_refit(self, masks: np.ndarray) -> np.ndarray:
-        """CV errors by one :func:`ols_batch` refit per fold."""
+        """CV errors by one :func:`ols_batch` refit per fold.
+
+        Each mask's predictions are their own product and its mean runs
+        along its own row, so no mask's error depends on the others.
+        """
         X, y = self.data.X, self.data.y
         part = self._partition
         errors = np.zeros(masks.shape[0], dtype=np.float64)
         for f, val in enumerate(part.folds):
             train = part.train_indices(f)
             b0, b, _, _ = ols_batch(X[train], y[train], masks)
-            preds = b0[None, :] + X[val] @ b.T
-            errors += np.mean((y[val][:, None] - preds) ** 2, axis=0)
+            preds = b0[:, None] + (X[val] @ b[:, :, None])[:, :, 0]
+            errors += np.mean((y[val] - preds) ** 2, axis=1)
         return errors / part.n_folds
 
 

@@ -15,7 +15,12 @@ from paretoreg.objectives import (
     make_partition,
 )
 
-from paretoreg.simdata import expand_features, gen_additive, gen_correlated
+from paretoreg.simdata import (
+    expand_features,
+    gen_additive,
+    gen_correlated,
+    truncate_predictors,
+)
 
 from conftest import lstsq_cv_error, lstsq_fit
 
@@ -163,6 +168,23 @@ class TestGramCrossValidation:
             assert ev.svd_fallbacks == 0
         else:
             assert ev.svd_fallbacks > 0
+
+    @pytest.mark.parametrize("case", ["correlated_k30", "example1"])
+    def test_errors_do_not_depend_on_the_batch(self, case):
+        # a mask scored in a batch of 300 gets the same bytes as the mask
+        # scored alone, on the Gram fold solves and on the fold refits
+        if case == "example1":
+            data, folds = gram_cases()[case]
+        else:
+            data, folds = truncate_predictors(gen_correlated(200, p=100, seed=1)[0], 30), 10
+        spec = ObjectiveSpec(kind=CROSS_VALIDATION, folds=folds, seed=5)
+        gen = np.random.default_rng(8)
+        masks = list(gen.random((300, data.k)) < gen.random((300, 1)))
+        batch = ObjectiveEvaluator(data, spec)
+        lone = ObjectiveEvaluator(data, spec)
+        got = [model.objective.error.hex() for model in batch.evaluate_many(masks)]
+        assert got == [lone.evaluate(mask).objective.error.hex() for mask in masks]
+        assert (batch.svd_fallbacks > 0) == (case == "example1")
 
     def test_large_mean_response_matches_per_fold_lstsq(self):
         # y - mean(y) sums to -n times the rounding in the mean, not to
