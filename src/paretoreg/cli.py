@@ -241,10 +241,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not args.range:
             raise ValueError("--task kappa requires --range LO:HI")
         lo, hi = _parse_range(args.range, "--range")
-        eval_sets = [
-            load_csv(p, args.target, header=not args.no_header)
-            for p in args.eval_data
-        ]
+        eval_sets = [load_csv(p, args.target, header=not args.no_header) for p in args.eval_data]
+        # coefficients apply by column position, so the columns must match
+        for path, data, doc in zip(args.eval_data, eval_sets, docs):
+            if data.names != doc.names:
+                raise ValueError(f"{path}: columns {data.names} are not the frontier's {doc.names}")
         value = kappa_metric([d.frontier for d in docs], eval_sets, lo, hi)
         print(f"kappa over complexities [{lo}, {hi}]: {value:.6g}")
         write("kappa.json", json_text({"kappa": value, "range": [lo, hi], "pairs": len(docs)}))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from paretoreg.cli import main
-from paretoreg.data import Dataset, save_csv
+from paretoreg.data import Dataset, load_csv, save_csv
 from paretoreg.serialize import read_frontier_json
 
 
@@ -367,6 +367,22 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert "--eval-data" in capsys.readouterr().err
+
+    def test_kappa_refuses_other_column_names(self, pipeline, tmp_path, capsys):
+        # the same rows with their columns reversed, each name kept with
+        # its column: pairing coefficients by position would score the
+        # frontier against the wrong predictors
+        data = load_csv(str(pipeline["data"]), "y")
+        reversed_csv = tmp_path / "reversed.csv"
+        save_csv(Dataset(X=data.X[:, ::-1], y=data.y, names=data.names[::-1]), str(reversed_csv))
+        rc = run_cli(
+            "analyze", "--frontier", str(pipeline["run"] / "frontier.json"),
+            "--task", "kappa", "--eval-data", str(reversed_csv),
+            "--range", "1:5", "--out", str(tmp_path / "o"),
+        )
+        assert rc == 1
+        assert "reversed.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "kappa.json").exists()
 
     def test_missing_target_column(self, pipeline, tmp_path, capsys):
         rc = run_cli(
