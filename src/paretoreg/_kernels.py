@@ -70,21 +70,15 @@ def active_backend() -> str:
 def zero_floor(n: int, reference):
     """The SSE zero floor on ``n`` rows: ``SSE_ZERO_FACTOR * n * eps * reference``.
 
-    ``reference`` is the total sum of squares about the mean for an SSE
+    An error at or below it is zero up to rounding.  ``reference`` is the total sum of squares about the mean for an SSE
     floor, or the intercept-only MSE for an MSE floor.  It is centred
     because every model carries an intercept; a floor on the raw
     ``||y||^2`` would call real fits zero for a response with a large
-    mean and a small spread.
+    mean and a small spread.  A reference of exactly 0 is a response with
+    no spread, which the intercept alone fits: every error is then
+    rounding, and the floor is infinite.
     """
-    return SSE_ZERO_FACTOR * n * _EPS * reference
-
-
-def is_zero_error(error: float, n: int, reference: float) -> bool:
-    """True when ``error`` is zero up to rounding: at or below :func:`zero_floor`.
-
-    ``error`` and ``reference`` share units, an SSE or an MSE.
-    """
-    return error <= zero_floor(n, reference)
+    return SSE_ZERO_FACTOR * n * _EPS * reference if reference else np.inf
 
 
 class GramStats(NamedTuple):
@@ -248,7 +242,7 @@ def ols_batch(X, y, masks, stats: GramStats | None = None):
         coefs[i, cols] = beta[1:]
         mses[i] = float(resid @ resid) / n
         deficient[i] = rank < k + 1
-    mses[is_zero_error(mses, n, stats.gram[-1, -1] / n)] = 0.0
+    mses[mses <= zero_floor(n, stats.gram[-1, -1] / n)] = 0.0
     return intercepts, coefs, mses, deficient
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._kernels import is_zero_error
+from ._kernels import zero_floor
 from .data import Dataset, EvaluatedModel
 from .moga import Snapshot
 from .objectives import aic as _aic
@@ -107,7 +107,7 @@ def criteria_scan(frontier: Frontier, n: int) -> CriteriaScan:
     rows = []
     for m in frontier:
         c, mse = m.objective.complexity, m.objective.error
-        zero = is_zero_error(mse, n, reference)
+        zero = mse <= zero_floor(n, reference)
         rows.append(
             CriteriaRow(
                 complexity=c,
@@ -196,11 +196,11 @@ class HSPlot:
     complexities: tuple[int, ...]
 
 
-def _svg_header() -> list[str]:
+def _svg_header(width: int = _SVG_W, height: int = _SVG_H) -> list[str]:
     return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 
 
@@ -222,22 +222,9 @@ def os_plot(
     """
     if len(frontier) == 0:
         raise ValueError("cannot plot an empty frontier")
-    series: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for snap in snapshots:
-        series.append(
-            (
-                f"gen {snap.generation}",
-                np.asarray(snap.complexities, dtype=np.float64),
-                np.asarray(snap.errors, dtype=np.float64),
-            )
-        )
-    series.append(
-        (
-            "frontier",
-            np.array(frontier.complexities, dtype=np.float64),
-            np.array(frontier.errors, dtype=np.float64),
-        )
-    )
+    raw = [(f"gen {snap.generation}", snap.complexities, snap.errors) for snap in snapshots]
+    raw.append(("frontier", frontier.complexities, frontier.errors))
+    series = [(name, np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)) for name, xs, ys in raw]
 
     rows = [(name, int(xv), float(yv)) for name, xs, ys in series for xv, yv in zip(xs, ys)]
 
@@ -346,14 +333,11 @@ def hs_plot(
         raise ValueError(f"{len(names)} names for masks of length {k}")
 
     complexities = tuple(m.objective.complexity for m in shown)
+    # the models come in ascending complexity, so the first sighting is the smallest
     first_seen: dict[int, int] = {}
     for m in shown:
-        for j in np.flatnonzero(m.mask):
-            j = int(j)
-            if j not in first_seen:
-                first_seen[j] = m.objective.complexity
-            else:
-                first_seen[j] = min(first_seen[j], m.objective.complexity)
+        for j in np.flatnonzero(m.mask).tolist():
+            first_seen.setdefault(j, m.objective.complexity)
     row_cols = sorted(first_seen, key=lambda j: (first_seen[j], names[j]))
     matrix = np.zeros((len(row_cols), len(shown)), dtype=np.bool_)
     for c, m in enumerate(shown):
@@ -380,11 +364,7 @@ def hs_plot(
     cell = 18
     width = label_w + cell * len(shown) + 20
     height = 40 + cell * len(row_names) + 30
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+    parts = _svg_header(width, height)
     for r, nm in enumerate(row_names):
         yc = 40 + r * cell
         parts.append(

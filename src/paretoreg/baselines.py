@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    GramStats,
-    chunk_size,
-    drop_scores,
-    is_zero_error,
-    ols_batch,
-    zero_floor,
-)
+from ._kernels import GramStats, chunk_size, drop_scores, ols_batch, zero_floor
 from .data import Dataset, EvaluatedModel
 from .pareto import Frontier
 
@@ -206,8 +199,9 @@ def _partial_f(
     df = n - small_size - 2
     if df <= 0:
         return -math.inf
-    if is_zero_error(sse_big, n, sst):
-        return 0.0 if is_zero_error(sse_small, n, sst) else math.inf
+    floor = zero_floor(n, sst)
+    if sse_big <= floor:
+        return 0.0 if sse_small <= floor else math.inf
     return (sse_small - sse_big) / (sse_big / df)
 
 

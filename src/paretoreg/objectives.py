@@ -201,11 +201,14 @@ class ObjectiveEvaluator:
         """CV errors by one :func:`ols_batch` refit per fold.
 
         Each mask's predictions are their own product and its mean runs
-        along its own row, so no mask's error depends on the others.
+        along its own row, so no mask's error depends on the others.  A
+        response with no spread is fitted exactly in every fold: 0.
         """
         X, y = self.data.X, self.data.y
         part = self._partition
         errors = np.zeros(masks.shape[0], dtype=np.float64)
+        if not self._stats.gram[-1, -1]:
+            return errors
         for f, val in enumerate(part.folds):
             train = part.train_indices(f)
             b0, b, _, _ = ols_batch(X[train], y[train], masks)

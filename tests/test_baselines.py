@@ -155,6 +155,19 @@ class TestBestSubsetTable:
                 assert got.intercept.hex() == want.intercept.hex()
                 assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
+    def test_constant_response_reports_exact_zero(self):
+        # every model fits y = 3.7 exactly; the full mask holds both
+        # copies of column 0 and is fitted by the SVD, whose residual is
+        # rounding, and the first mask of each size wins the tie
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        X[:, 2] = X[:, 0]
+        data = Dataset(X=X, y=np.full(20, 3.7), names=("a", "b", "c"))
+        table = best_subset_table(data)
+        assert [m.objective.error for m in table] == [0.0] * 4
+        assert [m.mask.tolist() for m in table][1:] == [
+            [False, False, True], [False, True, True], [True, True, True]
+        ]
+
     @settings(max_examples=40, deadline=None)
     @given(subset_data())
     def test_bit_identical_to_enumeration(self, data):

@@ -13,7 +13,7 @@ from paretoreg._kernels import (
     ols_batch,
 )
 from paretoreg.data import Dataset
-from paretoreg.objectives import CROSS_VALIDATION, ObjectiveEvaluator, ObjectiveSpec
+from paretoreg.objectives import CROSS_VALIDATION, IN_SAMPLE, ObjectiveEvaluator, ObjectiveSpec
 from paretoreg.simdata import expand_features, gen_additive, gen_correlated
 
 from conftest import lstsq_cv_error, lstsq_fit
@@ -223,6 +223,22 @@ class TestRankDeficiency:
         _, _, mses, deficient = ols_batch(X, y, masks)
         assert deficient.tolist() == [False, True]
         assert mses.tolist() == [0.0, 0.0]
+
+    def test_constant_response_reports_exact_zero(self):
+        # y = 3.7 has no spread, so the intercept fits it exactly; masks
+        # holding both copies of column 0 go to the SVD, whose residual is
+        # rounding, and the floor's reference (the centred SST) is 0
+        X = np.random.default_rng(0).standard_normal((20, 3))
+        X[:, 2] = X[:, 0]
+        data = Dataset(X=X, y=np.full(20, 3.7), names=("a", "b", "c"))
+        masks = np.array([[1, 0, 1], [1, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=bool)
+        _, _, mses, deficient = ols_batch(data.X, data.y, masks)
+        assert deficient.tolist() == [True, True, False, False]
+        assert mses.tolist() == [0.0] * 4
+        for kind in (IN_SAMPLE, CROSS_VALIDATION):
+            evaluator = ObjectiveEvaluator(data, ObjectiveSpec(kind=kind, folds=5))
+            errors = [m.objective.error for m in evaluator.evaluate_many(list(masks))]
+            assert errors == [0.0] * 4
 
     def test_constant_column_flagged(self):
         # a constant predictor is collinear with the intercept
