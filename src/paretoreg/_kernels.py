@@ -326,22 +326,21 @@ def fold_errors(folds: FoldStats, masks: np.ndarray):
     order, _, _, chunks = _size_chunks(
         masks, lambda d: max(1, CHUNK_ELEMENTS // (n_folds * (d + 1) ** 2 + rest))
     )
-    f = np.arange(n_folds)[None, :, None]
+    f = np.arange(n_folds)[:, None]
     parts = []
     for cols in chunks:
         m, d = cols.shape
         # columns of A per mask: the intercept, then the selected predictors
-        idx = np.zeros((m, d + 1), dtype=np.intp)
-        idx[:, 1:] = cols + 1
-        at = idx[:, None, :]
-        system = folds.unit[f[..., None], at[..., None], at[:, :, None, :]]
+        at = np.zeros((m, 1, d + 1), dtype=np.intp)
+        at[:, 0, 1:] = cols + 1
+        system = folds.unit[f[:, :, None], at[..., None], at[:, :, None, :]]
         m_inv, ok = _gram_factor(system.reshape(-1, d + 1, d + 1), folds.scale[f, at].reshape(-1, d + 1))
         beta = _gram_apply(m_inv, folds.gram[f, at, -1].reshape(-1, d + 1))
         # w = (beta, -1) on A's columns, so A_v w is minus the residual;
         # one product per (mask, fold), so no row depends on the others
         w = np.zeros((m, n_folds, width))
         w[..., -1] = -1.0
-        w[np.arange(m)[:, None, None], f[0], at] = beta.reshape(m, n_folds, d + 1)
+        w[np.arange(m)[:, None, None], f, at] = beta.reshape(m, n_folds, d + 1)
         resid = (folds.val @ w[..., None])[..., 0]
         fold_mse = (resid[..., None, :] @ resid[..., None])[..., 0, 0] / folds.sizes
         parts.append((fold_mse.mean(axis=1), ok.reshape(m, n_folds).all(axis=1)))

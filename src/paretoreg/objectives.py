@@ -202,7 +202,8 @@ class ObjectiveEvaluator:
 
         Each mask's predictions are their own product and its mean runs
         along its own row, so no mask's error depends on the others.  A
-        response with no spread is fitted exactly in every fold: 0.
+        response with no spread is fitted exactly in every fold, so its
+        errors are 0 without a refit.
         """
         X, y = self.data.X, self.data.y
         part = self._partition
