@@ -138,8 +138,8 @@ class FoldStats(NamedTuple):
     rounding in the means), minus the fold's held-out rows' own Gram.
     ``unit`` and ``scale`` scale its block without y to unit diagonal, as
     ``GramStats.unit``/``.scale`` do.  ``val`` (f, v, w) holds each fold's
-    rows of A, zero-padded to a common length, and ``sizes`` (f,) their
-    counts.
+    rows of A, zero-padded to a common length (a zero row adds nothing to
+    a residual sum of squares), and ``sizes`` (f,) their counts.
     """
 
     gram: np.ndarray
