@@ -280,6 +280,101 @@ class TestAnalyze:
         assert (out / "hs_plot.svg").read_text().startswith("<svg")
 
 
+class TestFlagsReachLibrary:
+    """Each flag's value shows in what the library returned or wrote."""
+
+    def run_config(self, pipeline, out, *flags):
+        assert run_cli(
+            "run", "--data", str(pipeline["data"]), "--target", "y",
+            "--iterations", "5", *flags, "--out", str(out),
+        ) == 0
+        return json.loads((out / "run.json").read_text())["config"]
+
+    def test_offspring(self, pipeline, tmp_path):
+        assert self.run_config(pipeline, tmp_path / "o", "--offspring", "7")["n_offspring"] == 7
+
+    def test_crossover_prob(self, pipeline, tmp_path):
+        config = self.run_config(pipeline, tmp_path / "o", "--crossover-prob", "0.25")
+        assert config["crossover_prob"] == 0.25
+
+    def test_archive(self, pipeline, tmp_path):
+        assert self.run_config(pipeline, tmp_path / "a", "--archive")["archive"] is True
+        assert self.run_config(pipeline, tmp_path / "p")["archive"] is False
+
+    def test_no_header(self, pipeline, tmp_path):
+        # the pipeline's rows without their header: columns x1..x12 and
+        # the response as x13, so the auto-names match the frontier's
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(pipeline["data"].read_text().splitlines(True)[1:]))
+        no_header = ["--data", str(bare), "--target", "x13", "--no-header"]
+        run = tmp_path / "run"
+        assert run_cli("run", *no_header, "--iterations", "5", "--out", str(run)) == 0
+        doc = read_frontier_json(str(run / "frontier.json"))
+        assert doc.names == tuple(f"x{i}" for i in range(1, 13))
+        assert (doc.n, doc.target) == (80, "x13")
+
+        steps = []
+        for out, data in ((tmp_path / "bare_fw", no_header),
+                          (tmp_path / "fw", ["--data", str(pipeline["data"]), "--target", "y"])):
+            assert run_cli("baseline", *data, "--method", "forward", "--out", str(out)) == 0
+            doc = json.loads((out / "trajectory.json").read_text())
+            steps.append([(m["mask"], m["error"]) for m in doc["steps"]])
+        assert steps[0] == steps[1]
+
+        kappas = []
+        for out, data in ((tmp_path / "bare_k", no_header[1:]),
+                          (tmp_path / "k", [str(pipeline["data"]), "--target", "y"])):
+            assert run_cli(
+                "analyze", "--frontier", str(run / "frontier.json"), "--task", "kappa",
+                "--eval-data", *data, "--range", "1:5", "--out", str(out),
+            ) == 0
+            kappas.append(json.loads((out / "kappa.json").read_text())["kappa"])
+        assert kappas[0] == kappas[1]
+
+    def test_max_complexity(self, pipeline, tmp_path):
+        out = tmp_path / "exh"
+        assert run_cli(
+            "baseline", "--data", str(pipeline["data"]), "--target", "y",
+            "--method", "exhaustive", "--max-complexity", "3", "--out", str(out),
+        ) == 0
+        doc = read_frontier_json(str(out / "frontier.json"))
+        assert max(doc.frontier.complexities) == 3
+        assert doc.config["max_complexity"] == 3
+
+    def test_force(self, tmp_path, capsys):
+        gen = np.random.default_rng(2)
+        X = gen.standard_normal((30, 26))
+        y = X[:, 4] + gen.standard_normal(30)
+        save_csv(Dataset(X=X, y=y, names=tuple(f"x{i}" for i in range(26))), str(tmp_path / "wide.csv"))
+        argv = ["baseline", "--data", str(tmp_path / "wide.csv"), "--target", "y",
+                "--method", "exhaustive", "--max-complexity", "1"]
+        assert run_cli(*argv, "--out", str(tmp_path / "refused")) == 1
+        assert "force=True" in capsys.readouterr().err
+        assert run_cli(*argv, "--force", "--out", str(tmp_path / "forced")) == 0
+        doc = read_frontier_json(str(tmp_path / "forced" / "frontier.json"))
+        assert doc.frontier.complexities[-1] == 1
+        assert doc.frontier.models[-1].selected_names(doc.names) == ("x4",)
+
+    @pytest.mark.parametrize("example", ["1", "2"])
+    def test_noise_sd(self, tmp_path, example):
+        out = tmp_path / "sim"
+        assert run_cli(
+            "simulate", "--example", example, "--n", "20", "--noise-sd", "0.375",
+            "--out", str(out),
+        ) == 0
+        assert json.loads((out / "truth.json").read_text())["noise_sd"] == 0.375
+
+    def test_log_y(self, pipeline, tmp_path):
+        labels = []
+        for out, flags in ((tmp_path / "log", ["--log-y"]), (tmp_path / "lin", [])):
+            assert run_cli(
+                "analyze", "--frontier", str(pipeline["run"] / "frontier.json"),
+                "--task", "osplot", *flags, "--out", str(out),
+            ) == 0
+            labels.append("log10 error" in (out / "os_plot.svg").read_text())
+        assert labels == [True, False]
+
+
 class TestErrorHandling:
     def test_missing_data_file(self, tmp_path, capsys):
         rc = run_cli(
