@@ -52,30 +52,39 @@ from .simdata import expand_features, gen_additive, gen_correlated
 
 
 def _parse_range(text: str, what: str) -> tuple[int, int]:
+    """``LO:HI`` as two integers; the callers refuse an empty range."""
     try:
         lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
+        return int(lo_s), int(hi_s)
     except ValueError:
         raise ValueError(f"{what} must look like LO:HI, got {text!r}") from None
-    if lo > hi:
-        raise ValueError(f"{what} has empty range {text!r}")
-    return lo, hi
 
 
-def _parse_objective(text: str) -> ObjectiveSpec:
+def _parse_objective(text: str, seed: int, cv_seed: int | None) -> ObjectiveSpec:
+    """The ``--objective`` spec; the fold seed is ``cv_seed``, else the run ``seed``."""
     if text == "insample":
+        if cv_seed is not None:
+            raise ValueError("--cv-seed applies only to a cv:K objective")
         return ObjectiveSpec(kind=IN_SAMPLE)
     if text.startswith("cv:") and text[3:].isdecimal():
-        return ObjectiveSpec(kind=CROSS_VALIDATION, folds=int(text[3:]))
+        fold_seed = seed if cv_seed is None else cv_seed
+        return ObjectiveSpec(kind=CROSS_VALIDATION, folds=int(text[3:]), seed=fold_seed)
     raise ValueError(f"objective must be 'insample' or 'cv:K', got {text!r}")
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options that were set on the command line; an option
+    left out keeps the library's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _writer(out: str) -> Callable[[str, str | Callable[[str], None]], None]:
-    """Create ``out`` and return ``write(name, content)``: it writes the file ``name``
-    there, from its text or by ``content(path)``, and prints ``wrote <path>``."""
-    os.makedirs(out, exist_ok=True)
+    """Return ``write(name, content)``: it writes the file ``name`` in ``out``,
+    created at the first write, from its text or by ``content(path)``, and
+    prints ``wrote <path>``."""
 
     def write(name: str, content: str | Callable[[str], None]) -> None:
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, name)
         if callable(content):
             content(path)
@@ -87,18 +96,14 @@ def _writer(out: str) -> Callable[[str, str | Callable[[str], None]], None]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.example == 1 and args.p is not None:
+    options = _given(args, "seed", "noise_sd", "p")
+    if args.example == 1 and "p" in options:
         raise ValueError("--p applies only to example 2; example 1's predictors are fixed")
     write = _writer(args.out)
-    options = {"seed": args.seed}
-    if args.noise_sd is not None:
-        options["noise_sd"] = args.noise_sd
     if args.example == 1:
         raw, truth = gen_additive(args.n, **options)
         data = expand_features(raw)
     else:
-        if args.p is not None:
-            options["p"] = args.p
         data, truth = gen_correlated(args.n, **options)
     print(f"example {args.example}: {data.n} rows, {data.k} predictors")
     write("data.csv", lambda path: save_csv(data, path))
@@ -116,27 +121,17 @@ def _write_frontier(write, frontier, data, config_doc, stats_doc) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    write = _writer(args.out)
-    data = load_csv(args.data, args.target, header=not args.no_header)
-    objective = _parse_objective(args.objective)
-    if objective.kind == CROSS_VALIDATION:
-        # fold partition seed follows the run seed unless overridden
-        cv_seed = args.cv_seed if args.cv_seed is not None else args.seed
-        objective = ObjectiveSpec(
-            kind=CROSS_VALIDATION, folds=objective.folds, seed=cv_seed
-        )
-    config = GAConfig(
-        population_size=args.pop_size,
-        iterations=args.iterations,
-        crossover_prob=args.crossover_prob,
-        mutation_prob=args.mutation_prob,
-        n_offspring=args.offspring,
-        seed=args.seed,
-        objective=objective,
-        complexity_bounds=_parse_range(args.bounds, "--bounds") if args.bounds else None,
-        snapshot_every=args.snapshot_every,
-        archive=args.archive,
+    options = _given(
+        args, "population_size", "iterations", "crossover_prob", "mutation_prob",
+        "n_offspring", "seed", "snapshot_every", "archive",
     )
+    if args.bounds is not None:
+        options["complexity_bounds"] = _parse_range(args.bounds, "--bounds")
+    config = GAConfig(**options)
+    objective = _parse_objective(args.objective, config.seed, args.cv_seed)
+    config = dataclasses.replace(config, objective=objective)
+    data = load_csv(args.data, args.target, header=not args.no_header)
+    write = _writer(args.out)
 
     progress = None
     if args.progress:
@@ -199,13 +194,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         return 0
 
     if args.method == "forward":
-        traj = forward_selection(data, enter_threshold=args.enter_f)
+        traj = forward_selection(data, **_given(args, "enter_threshold"))
     elif args.method == "backward":
-        traj = backward_elimination(data, exit_threshold=args.exit_f)
+        traj = backward_elimination(data, **_given(args, "exit_threshold"))
     else:
-        traj = stepwise_selection(
-            data, enter_threshold=args.enter_f, exit_threshold=args.exit_f
-        )
+        traj = stepwise_selection(data, **_given(args, "enter_threshold", "exit_threshold"))
     print(
         f"{args.method}: {len(traj.steps)} steps, final model has "
         f"{traj.final.objective.complexity} variables "
@@ -268,11 +261,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paretoreg",
-        description="Pareto-frontier subset regression toolkit",
+        description="Pareto-frontier subset regression toolkit; "
+        "an option left out takes the library's default",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option left out is not set on the namespace (default=unset), so
+    # the library function's own default applies
+    unset = argparse.SUPPRESS
     p_sim = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
     p_sim.add_argument(
         "--example",
@@ -283,27 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
         "2: correlated linear benchmark",
     )
     p_sim.add_argument("--n", type=int, required=True, help="number of rows")
-    p_sim.add_argument(
-        "--p", type=int, default=None, help="predictor count for example 2 (default 100)"
-    )
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--noise-sd",
-        type=float,
-        default=None,
-        help="noise standard deviation (default 0.2 for example 1, 1.0 for example 2)",
-    )
+    p_sim.add_argument("--p", type=int, default=unset, help="predictor count for example 2")
+    p_sim.add_argument("--seed", type=int, default=unset)
+    p_sim.add_argument("--noise-sd", type=float, default=unset, help="noise standard deviation")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_run = sub.add_parser("run", help="evolutionary frontier search")
-    p_run.add_argument("--data", required=True, help="input CSV")
-    p_run.add_argument("--target", required=True, help="response column name")
-    p_run.add_argument(
-        "--no-header",
-        action="store_true",
-        help="CSV has no header row; columns are auto-named x1..xK",
+    # run and baseline read one CSV and write one directory
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--data", required=True, help="input CSV")
+    files.add_argument("--target", required=True, help="response column name")
+    files.add_argument(
+        "--no-header", action="store_true", help="CSV has no header row; columns are auto-named x1..xK"
     )
+    files.add_argument("--out", required=True, help="output directory")
+
+    p_run = sub.add_parser("run", parents=[files], help="evolutionary frontier search")
     p_run.add_argument(
         "--objective",
         default="insample",
@@ -316,44 +308,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold partition seed (default: the run seed)",
     )
     p_run.add_argument(
-        "--pop-size",
-        type=int,
-        default=None,
-        help="population size (default: K, at least 2)",
+        "--pop-size", dest="population_size", type=int, default=unset, help="population size"
     )
-    p_run.add_argument("--iterations", type=int, default=500)
-    p_run.add_argument("--crossover-prob", type=float, default=0.9)
+    p_run.add_argument("--iterations", type=int, default=unset)
+    p_run.add_argument("--crossover-prob", type=float, default=unset)
+    p_run.add_argument("--mutation-prob", type=float, default=unset)
     p_run.add_argument(
-        "--mutation-prob", type=float, default=None, help="default: 1/K"
+        "--offspring", dest="n_offspring", type=int, default=unset, help="offspring per generation"
     )
-    p_run.add_argument(
-        "--offspring", type=int, default=None, help="offspring per generation (default: population size)"
-    )
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=unset)
     p_run.add_argument(
         "--bounds",
         default=None,
         help="restrict search to complexities LO:HI",
     )
     p_run.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=None,
+        "--snapshot-every", type=int, default=unset,
         help="record population snapshots every this many generations",
     )
     p_run.add_argument(
-        "--archive",
-        action="store_true",
+        "--archive", action="store_true", default=unset,
         help="report the frontier of all evaluated models, not just the final population",
     )
     p_run.add_argument("--progress", action="store_true", help="per-generation log to stderr")
-    p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_base = sub.add_parser("baseline", help="classical selection baselines")
-    p_base.add_argument("--data", required=True)
-    p_base.add_argument("--target", required=True)
-    p_base.add_argument("--no-header", action="store_true")
+    p_base = sub.add_parser("baseline", parents=[files], help="classical selection baselines")
     p_base.add_argument(
         "--method",
         required=True,
@@ -363,17 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-complexity", type=int, default=None, help="exhaustive: largest subset size"
     )
     p_base.add_argument(
-        "--enter-f", type=float, default=4.0, help="partial-F threshold to add a variable"
+        "--enter-f", dest="enter_threshold", type=float, default=unset,
+        help="partial-F threshold to add a variable",
     )
     p_base.add_argument(
-        "--exit-f", type=float, default=4.0, help="partial-F threshold to drop a variable"
+        "--exit-f", dest="exit_threshold", type=float, default=unset,
+        help="partial-F threshold to drop a variable",
     )
     p_base.add_argument(
         "--force",
         action="store_true",
         help="allow exhaustive search beyond 25 predictors",
     )
-    p_base.add_argument("--out", required=True)
     p_base.set_defaults(func=cmd_baseline)
 
     p_ana = sub.add_parser("analyze", help="frontier diagnostics and plots")

@@ -32,14 +32,18 @@ from .pareto import Frontier, nondominated, sweep
 class GAConfig:
     """Run parameters for :func:`run_moga`.
 
-    ``None`` fields fall back to data-dependent defaults at run time:
-    population size defaults to the number of predictors K, but at least
-    2 (the search needs two members); offspring count defaults to the
-    population size and mutation probability to 1/K.  ``complexity_bounds``
-    restricts the search to masks whose selected count lies in the given
-    closed range; out-of-range masks are repaired by random bit flips
-    before evaluation.  ``archive=True`` reports the non-dominated set of
-    every model ever evaluated instead of the final population only.
+    The defaults follow the published guidelines.  ``None`` fields fall
+    back to data-dependent defaults at run time: population size defaults
+    to the number of predictors K, but at least 2 (the search needs two
+    members); offspring count defaults to the population size and
+    mutation probability to 1/K.  ``complexity_bounds`` restricts the
+    search to masks whose selected count lies in the given closed range;
+    out-of-range masks are repaired by random bit flips before
+    evaluation.  ``archive=True`` reports the non-dominated set of every
+    model ever evaluated instead of the final population only.
+
+    Construction refuses a value that is out of range whatever the data;
+    :func:`run_moga` checks only that the bounds do not exceed K.
     """
 
     population_size: int | None = None
@@ -52,6 +56,22 @@ class GAConfig:
     complexity_bounds: tuple[int, int] | None = None
     snapshot_every: int | None = None
     archive: bool = False
+
+    def __post_init__(self) -> None:
+        least = {"population_size": 2, "n_offspring": 1, "iterations": 1, "snapshot_every": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("crossover_prob", "mutation_prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        bounds = self.complexity_bounds
+        if bounds is not None and bounds[0] > bounds[1]:
+            raise ValueError(f"complexity_bounds {bounds} is an empty range")
+        if bounds is not None and bounds[0] < 0:
+            raise ValueError(f"complexity_bounds must have lo >= 0, got {bounds}")
 
 
 @dataclass(frozen=True)
@@ -209,10 +229,7 @@ def run_moga(
     data : Dataset
         Predictors and response.
     config : GAConfig, optional
-        Run parameters; defaults follow the published guidelines
-        (population K, crossover 0.9, mutation 1/K, offspring equal to
-        the population).  The default population is raised to 2 when
-        K = 1.
+        Run parameters; :class:`GAConfig` holds their defaults and checks.
     progress : callable, optional
         Called after each iteration with (iteration, frontier size,
         best error in the population).
@@ -244,25 +261,10 @@ def run_moga(
     p_mut = config.mutation_prob if config.mutation_prob is not None else 1.0 / k
     p_cross = config.crossover_prob
     bounds = config.complexity_bounds
-
-    if n_pop < 2:
-        raise ValueError(f"population size must be >= 2, got {n_pop}")
-    if n_off < 1:
-        raise ValueError(f"offspring count must be >= 1, got {n_off}")
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {config.iterations}")
-    if not 0.0 <= p_cross <= 1.0:
-        raise ValueError(f"crossover_prob must be in [0, 1], got {p_cross}")
-    if not 0.0 <= p_mut <= 1.0:
-        raise ValueError(f"mutation_prob must be in [0, 1], got {p_mut}")
     if bounds is not None:
         lo, hi = bounds
-        if not 0 <= lo <= hi <= k:
-            raise ValueError(
-                f"complexity bounds must satisfy 0 <= lo <= hi <= {k}, got {bounds}"
-            )
-    if config.snapshot_every is not None and config.snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+        if hi > k:
+            raise ValueError(f"complexity_bounds must have hi <= K = {k}, got {bounds}")
 
     rng = np.random.default_rng(config.seed)
     evaluator = ObjectiveEvaluator(data, config.objective)

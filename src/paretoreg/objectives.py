@@ -24,27 +24,29 @@ CROSS_VALIDATION = "cross_validation"
 
 @dataclass(frozen=True)
 class FoldPartition:
-    """A fixed disjoint partition of row indices into validation folds."""
+    """A fixed disjoint partition of row indices into validation folds,
+    each a 1-D integer numpy array (copied and made read-only)."""
 
     n: int
     folds: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        seen = np.concatenate(self.folds) if self.folds else np.empty(0, dtype=np.int64)
         if len(self.folds) < 2:
             raise ValueError("need at least 2 folds")
+        for f in self.folds:
+            if not isinstance(f, np.ndarray) or f.ndim != 1 or f.dtype.kind not in "iu":
+                raise ValueError("each fold must be a 1-D numpy array of integer row indices")
         if any(f.size == 0 for f in self.folds):
             raise ValueError("folds must be non-empty")
+        folds = tuple(f.astype(np.int64) for f in self.folds)
+        seen = np.concatenate(folds)
         if seen.size != self.n or np.unique(seen).size != self.n:
             raise ValueError("folds must partition range(n) exactly")
         if seen.min() != 0 or seen.max() != self.n - 1:
             raise ValueError("fold indices out of range")
-        frozen = []
-        for f in self.folds:
-            f = np.asarray(f, dtype=np.int64).copy()
+        for f in folds:
             f.flags.writeable = False
-            frozen.append(f)
-        object.__setattr__(self, "folds", tuple(frozen))
+        object.__setattr__(self, "folds", folds)
 
     @property
     def n_folds(self) -> int:
@@ -115,8 +117,8 @@ class ObjectiveEvaluator:
     the fallback rule in any fold is refitted fold by fold by
     :func:`ols_batch`; :attr:`svd_fallbacks` counts those masks.
 
-    This class is the one place where the package computes a model's
-    error objective.
+    The search's error objectives come from this class; the baselines
+    take their in-sample MSEs from :func:`ols_batch` directly.
     """
 
     def __init__(self, data: Dataset, spec: ObjectiveSpec | None = None) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -93,14 +94,27 @@ def _field(doc: Any, key: str, convert: Callable[[Any], Any], default: Any = _MI
         raise ValueError(f"frontier field {key!r} is malformed: {exc}") from None
 
 
+def _finite(value: Any) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not finite")
+    return out
+
+
+def _positive_int(value: Any) -> int:
+    if isinstance(value, bool) or int(value) != value or value < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return int(value)
+
+
 def _model_from_dict(doc: dict[str, Any]) -> EvaluatedModel:
     return EvaluatedModel(
         mask=_field(doc, "mask", mask_from_string),
         objective=ObjectiveVector(
-            complexity=_field(doc, "complexity", int), error=_field(doc, "error", float)
+            complexity=_field(doc, "complexity", int), error=_field(doc, "error", _finite)
         ),
-        intercept=_field(doc, "intercept", float),
-        coefficients=_field(doc, "coefficients", lambda v: np.asarray(v, dtype=np.float64)),
+        intercept=_field(doc, "intercept", _finite),
+        coefficients=_field(doc, "coefficients", lambda v: np.array([_finite(c) for c in v])),
     )
 
 
@@ -150,7 +164,7 @@ def frontier_from_dict(doc: dict[str, Any]) -> FrontierDoc:
         frontier=Frontier(models=models),
         names=tuple(names),
         target=_field(data, "target", str, "y"),
-        n=_field(data, "n", int),
+        n=_field(data, "n", _positive_int),
         config=_field(doc, "config", dict, {}),
         stats=_field(doc, "stats", dict, {}),
     )

@@ -393,7 +393,7 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
-        assert not (out / "trajectory.json").exists()
+        assert not out.exists()
 
     def test_bad_objective(self, pipeline, tmp_path, capsys):
         rc = run_cli(
@@ -424,13 +424,24 @@ class TestErrorHandling:
         assert rc == 1
         assert capsys.readouterr().err == "error: frontier document has no 'models' field\n"
 
-    @pytest.mark.parametrize("field", ["models", "mask"])
+    @pytest.mark.parametrize(
+        "field", ["models", "mask", "error", "intercept", "coefficients", "n", "n-zero"]
+    )
     def test_frontier_with_wrong_field_type(self, pipeline, tmp_path, capsys, field):
         doc = json.loads((pipeline["run"] / "frontier.json").read_text())
-        if field == "models":
-            doc["models"] = None
-        else:
-            doc["models"][0]["mask"] = 5
+        model = doc["models"][-1]
+        nan_coefficients = [1.0] * (len(model["coefficients"]) - 1) + [float("nan")]
+        owner, bad = {
+            "models": (doc, None),
+            "mask": (model, 5),
+            "error": (model, "nan"),
+            "intercept": (model, float("inf")),
+            "coefficients": (model, nan_coefficients),
+            "n": (doc["data"], 59.7),
+            "n-zero": (doc["data"], 0),
+        }[field]
+        field = field.split("-")[0]
+        owner[field] = bad
         bad = tmp_path / "frontier.json"
         bad.write_text(json.dumps(doc))
         rc = run_cli(
@@ -454,6 +465,42 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert "empty range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, words",
+        [
+            (["--iterations", "0"], "iterations"),
+            (["--pop-size", "1"], "population_size"),
+            (["--offspring", "0"], "n_offspring"),
+            (["--crossover-prob", "2"], "crossover_prob"),
+            (["--mutation-prob", "-1"], "mutation_prob"),
+            (["--snapshot-every", "0"], "snapshot_every"),
+            (["--bounds", "5:2"], "empty range"),
+            (["--objective", "cv:1"], "2 folds"),
+        ],
+    )
+    def test_bad_setting_fails_before_any_work(self, tmp_path, capsys, flags, words):
+        # the data file does not exist: the setting must be refused first,
+        # and no output directory made
+        out = tmp_path / "o"
+        rc = run_cli(
+            "run", "--data", str(tmp_path / "missing.csv"), "--target", "y",
+            *flags, "--out", str(out),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and words in err
+        assert not out.exists()
+
+    def test_cv_seed_refused_in_sample(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run_cli(
+            "run", "--data", str(pipeline["data"]), "--target", "y",
+            "--cv-seed", "3", "--iterations", "2", "--out", str(out),
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --cv-seed applies only to a cv:K objective\n"
+        assert not out.exists()
 
     def test_kappa_needs_eval_data(self, pipeline, tmp_path, capsys):
         rc = run_cli(

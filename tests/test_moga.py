@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -395,20 +397,42 @@ class TestRunMoga:
         assert r1.frontier.errors == r2.frontier.errors
 
     def test_config_validation(self, ga_data):
+        # every range that does not depend on the data is refused when
+        # the config is built; only hi <= K waits for run_moga
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(population_size=1))
+            GAConfig(population_size=1)
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(iterations=0))
+            GAConfig(iterations=0)
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(crossover_prob=1.5))
+            GAConfig(crossover_prob=1.5)
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(mutation_prob=-0.1))
+            GAConfig(mutation_prob=-0.1)
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(complexity_bounds=(3, 2)))
+            GAConfig(complexity_bounds=(3, 2))
         with pytest.raises(ValueError):
             run_moga(ga_data, GAConfig(complexity_bounds=(0, 99)))
         with pytest.raises(ValueError):
-            run_moga(ga_data, GAConfig(snapshot_every=0))
+            GAConfig(snapshot_every=0)
+
+    @pytest.mark.parametrize(
+        "field, value, words",
+        [
+            ("population_size", 1, "population_size must be >= 2"),
+            ("n_offspring", 0, "n_offspring must be >= 1"),
+            ("iterations", 0, "iterations must be >= 1"),
+            ("crossover_prob", float("nan"), "crossover_prob must be in [0, 1]"),
+            ("mutation_prob", 1.5, "mutation_prob must be in [0, 1]"),
+            ("complexity_bounds", (5, 2), "empty range"),
+            ("complexity_bounds", (-1, 2), "lo >= 0"),
+            ("snapshot_every", 0, "snapshot_every must be >= 1"),
+        ],
+    )
+    def test_config_refuses_at_construction(self, field, value, words):
+        with pytest.raises(ValueError, match=re.escape(words)):
+            GAConfig(**{field: value})
+        # a valid config keeps its check when a field is replaced
+        with pytest.raises(ValueError, match=re.escape(words)):
+            replace(GAConfig(), **{field: value})
 
     def test_constant_response_reports_zero_error(self):
         # 37 rows of 3.7: the mean is inexact, so y - mean(y) is rounding;

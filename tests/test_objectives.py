@@ -60,6 +60,11 @@ class TestFoldPartition:
             FoldPartition(n=10, folds=(np.arange(5), np.arange(4)))  # not a partition
         with pytest.raises(ValueError):
             make_partition(3, 5, seed=0)  # more folds than rows
+        with pytest.raises(ValueError):
+            # 0.5 would truncate to row 0: row 1 lost, row 0 held out twice
+            FoldPartition(n=3, folds=(np.array([0, 0.5]), np.array([2])))
+        with pytest.raises(ValueError):
+            FoldPartition(n=3, folds=([0, 1], np.array([2])))  # a list, not an array
 
 
 def toy_dataset(n=24, k=4, seed=11):
