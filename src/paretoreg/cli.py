@@ -73,15 +73,13 @@ def _parse_objective(text: str, seed: int, cv_seed: int | None) -> ObjectiveSpec
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
-    """The named options that were set on the command line; an option
-    left out keeps the library's default."""
+    """The named options set on the command line; the rest keep the library's defaults."""
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _writer(out: str) -> Callable[[str, str | Callable[[str], None]], None]:
-    """Return ``write(name, content)``: it writes the file ``name`` in ``out``,
-    created at the first write, from its text or by ``content(path)``, and
-    prints ``wrote <path>``."""
+    """Return ``write(name, content)``: it writes the file ``name`` in ``out`` (made at
+    the first write), from its text or by ``content(path)``, and prints ``wrote <path>``."""
 
     def write(name: str, content: str | Callable[[str], None]) -> None:
         os.makedirs(out, exist_ok=True)

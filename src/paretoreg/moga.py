@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,8 +62,8 @@ class GAConfig:
         least = {"population_size": 2, "n_offspring": 1, "iterations": 1, "snapshot_every": 1}
         for name, low in least.items():
             value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value is not None and not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
         for name in ("crossover_prob", "mutation_prob"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -70,8 +71,8 @@ class GAConfig:
         bounds = self.complexity_bounds
         if bounds is not None and bounds[0] > bounds[1]:
             raise ValueError(f"complexity_bounds {bounds} is an empty range")
-        if bounds is not None and bounds[0] < 0:
-            raise ValueError(f"complexity_bounds must have lo >= 0, got {bounds}")
+        if bounds is not None and not all(isinstance(b, Integral) and b >= 0 for b in bounds):
+            raise ValueError(f"complexity_bounds must be integers >= 0, got {bounds}")
 
 
 @dataclass(frozen=True)

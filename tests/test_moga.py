@@ -417,14 +417,16 @@ class TestRunMoga:
     @pytest.mark.parametrize(
         "field, value, words",
         [
-            ("population_size", 1, "population_size must be >= 2"),
-            ("n_offspring", 0, "n_offspring must be >= 1"),
-            ("iterations", 0, "iterations must be >= 1"),
+            ("population_size", 1, "population_size must be an integer >= 2"),
+            ("n_offspring", 0, "n_offspring must be an integer >= 1"),
+            ("iterations", 0, "iterations must be an integer >= 1"),
+            ("iterations", 2.5, "iterations must be an integer >= 1"),
             ("crossover_prob", float("nan"), "crossover_prob must be in [0, 1]"),
             ("mutation_prob", 1.5, "mutation_prob must be in [0, 1]"),
             ("complexity_bounds", (5, 2), "empty range"),
-            ("complexity_bounds", (-1, 2), "lo >= 0"),
-            ("snapshot_every", 0, "snapshot_every must be >= 1"),
+            ("complexity_bounds", (-1, 2), "integers >= 0"),
+            ("complexity_bounds", (1.5, 3), "integers >= 0"),
+            ("snapshot_every", 0, "snapshot_every must be an integer >= 1"),
         ],
     )
     def test_config_refuses_at_construction(self, field, value, words):
